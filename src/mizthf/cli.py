@@ -166,6 +166,8 @@ def cmd_prove(args: argparse.Namespace) -> int:
             timeout=args.timeout)
     except subprocess.TimeoutExpired:
         return _fail(f"prover timed out after {args.timeout}s", 1)
+    finally:
+        Path(path).unlink(missing_ok=True)
     output = run.stdout + run.stderr
     match = re.search(r"SZS status (\w+)", output)
     status = match.group(1) if match else "Unknown"

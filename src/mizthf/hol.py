@@ -10,12 +10,18 @@ are compiled from.
 Bound names carry no semantic weight.  ``alpha_eq`` compares binder
 structure by de Bruijn level, ``subst_var`` renames on capture, and
 ``beta_normalize`` produces the beta-normal form (no eta).
+
+``children`` and ``map_children`` are the only code outside typing and
+printing that lists the constructor shapes.  Every other walk, here
+and in ``patterns``, handles the cases where it differs (variables,
+metavariables, binders) and hands the rest to that pair, so a new
+constructor needs only those two to change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 
 # ---------------------------------------------------------------- types
@@ -194,8 +200,8 @@ class Ex(Term):
 
 TOP = Top()
 
-_BINARY = (Eq, And, Or, Imp, Iff)
-_BINDERS = (Lam, All, Ex)
+# The binders, for walks that treat them alike.
+BINDERS = (Lam, All, Ex)
 
 
 # ------------------------------------------------------------- builders
@@ -250,22 +256,53 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    """All subterms, preorder, the term itself included."""
-    yield t
+def children(t: Term) -> tuple[Term, ...]:
+    """The immediate subterms of ``t``, left to right."""
     match t:
         case App(f, a):
-            yield from subterms(f)
-            yield from subterms(a)
+            return (f, a)
+        case Var() | Const() | Meta() | Top():
+            return ()
         case Lam(_, _, b) | All(_, _, b) | Ex(_, _, b):
-            yield from subterms(b)
+            return (b,)
         case Eq(l, r, _) | And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            yield from subterms(l)
-            yield from subterms(r)
+            return (l, r)
         case Not(a):
-            yield from subterms(a)
-        case _:
-            pass
+            return (a,)
+    raise TypeError(f"unexpected term {t!r}")
+
+
+def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
+    """``t`` rebuilt with ``f`` applied to each immediate subterm; ``t``
+    itself when every subterm comes back unchanged."""
+    match t:
+        case App(g, a):
+            g2, a2 = f(g), f(a)
+            return t if g2 is g and a2 is a else App(g2, a2)
+        case Var() | Const() | Meta() | Top():
+            return t
+        case Lam(v, ty, b) | All(v, ty, b) | Ex(v, ty, b):
+            b2 = f(b)
+            return t if b2 is b else type(t)(v, ty, b2)
+        case Eq(l, r, ty):
+            l2, r2 = f(l), f(r)
+            return t if l2 is l and r2 is r else Eq(l2, r2, ty)
+        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+            l2, r2 = f(l), f(r)
+            return t if l2 is l and r2 is r else type(t)(l2, r2)
+        case Not(a):
+            a2 = f(a)
+            return t if a2 is a else Not(a2)
+    raise TypeError(f"unexpected term {t!r}")
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """All subterms, preorder, the term itself included."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(reversed(children(t)))
 
 
 def constants(t: Term) -> set[Const]:
@@ -281,24 +318,20 @@ def metas(t: Term) -> set[Meta]:
 
 def free_vars(t: Term) -> frozenset[tuple[str, Type]]:
     """Free variables of ``t`` as (name, type) pairs."""
+    out: set[tuple[str, Type]] = set()
 
-    def go(t: Term, bound: frozenset[str]) -> frozenset[tuple[str, Type]]:
-        match t:
-            case Var(n, ty):
-                return frozenset() if n in bound else frozenset([(n, ty)])
-            case Const() | Meta() | Top():
-                return frozenset()
-            case App(f, a):
-                return go(f, bound) | go(a, bound)
-            case Lam(v, _, b) | All(v, _, b) | Ex(v, _, b):
-                return go(b, bound | {v})
-            case Eq(l, r, _) | And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                return go(l, bound) | go(r, bound)
-            case Not(a):
-                return go(a, bound)
-        raise TypeError(f"unexpected term {t!r}")
+    def go(t: Term, bound: frozenset[str]) -> None:
+        if isinstance(t, Var):
+            if t.name not in bound:
+                out.add((t.name, t.type))
+        elif isinstance(t, BINDERS):
+            go(t.body, bound | {t.var})
+        else:
+            for c in children(t):
+                go(c, bound)
 
-    return go(t, frozenset())
+    go(t, frozenset())
+    return frozenset(out)
 
 
 def free_names(t: Term) -> frozenset[str]:
@@ -315,51 +348,22 @@ def fresh_name(base: str, avoid: set[str] | frozenset[str]) -> str:
     return f"{base}{k}"
 
 
-def _rebind(t: Term, var: str, body: Term) -> Term:
-    match t:
-        case Lam(_, ty, _):
-            return Lam(var, ty, body)
-        case All(_, ty, _):
-            return All(var, ty, body)
-        case Ex(_, ty, _):
-            return Ex(var, ty, body)
-    raise TypeError(f"not a binder: {t!r}")
-
-
 def subst_var(t: Term, name: str, repl: Term) -> Term:
     """Capture-avoiding substitution of ``repl`` for free ``name`` in ``t``."""
     repl_free = free_names(repl)
 
     def go(t: Term) -> Term:
-        match t:
-            case Var(n, _):
-                return repl if n == name else t
-            case Const() | Meta() | Top():
+        if isinstance(t, Var):
+            return repl if t.name == name else t
+        if isinstance(t, BINDERS):
+            v, ty, b = t.var, t.var_type, t.body
+            if v == name:
                 return t
-            case App(f, a):
-                return App(go(f), go(a))
-            case Lam(v, ty, b) | All(v, ty, b) | Ex(v, ty, b):
-                if v == name:
-                    return t
-                if v in repl_free and name in free_names(b):
-                    # the binder would capture a variable of repl: rename it
-                    v2 = fresh_name(v, repl_free | free_names(b) | {name})
-                    b = subst_var(b, v, Var(v2, ty))
-                    return _rebind(t, v2, go(b))
-                return _rebind(t, v, go(b))
-            case Eq(l, r, ty):
-                return Eq(go(l), go(r), ty)
-            case And(l, r):
-                return And(go(l), go(r))
-            case Or(l, r):
-                return Or(go(l), go(r))
-            case Imp(l, r):
-                return Imp(go(l), go(r))
-            case Iff(l, r):
-                return Iff(go(l), go(r))
-            case Not(a):
-                return Not(go(a))
-        raise TypeError(f"unexpected term {t!r}")
+            if v in repl_free and name in free_names(b):
+                # the binder would capture a variable of repl: rename it
+                v2 = fresh_name(v, repl_free | free_names(b) | {name})
+                return type(t)(v2, ty, go(subst_var(b, v, Var(v2, ty))))
+        return map_children(t, go)
 
     return go(t)
 
@@ -367,33 +371,13 @@ def subst_var(t: Term, name: str, repl: Term) -> Term:
 def beta_normalize(t: Term) -> Term:
     """The beta-normal form of ``t`` (normal-order; simple typing makes
     this total)."""
-    match t:
-        case Var() | Const() | Meta() | Top():
-            return t
-        case App(f, a):
-            nf = beta_normalize(f)
-            if isinstance(nf, Lam):
-                return beta_normalize(subst_var(nf.body, nf.var, a))
-            return App(nf, beta_normalize(a))
-        case Lam(v, ty, b):
-            return Lam(v, ty, beta_normalize(b))
-        case Eq(l, r, ty):
-            return Eq(beta_normalize(l), beta_normalize(r), ty)
-        case And(l, r):
-            return And(beta_normalize(l), beta_normalize(r))
-        case Or(l, r):
-            return Or(beta_normalize(l), beta_normalize(r))
-        case Imp(l, r):
-            return Imp(beta_normalize(l), beta_normalize(r))
-        case Iff(l, r):
-            return Iff(beta_normalize(l), beta_normalize(r))
-        case Not(a):
-            return Not(beta_normalize(a))
-        case All(v, ty, b):
-            return All(v, ty, beta_normalize(b))
-        case Ex(v, ty, b):
-            return Ex(v, ty, beta_normalize(b))
-    raise TypeError(f"unexpected term {t!r}")
+    if isinstance(t, App):
+        nf = beta_normalize(t.fn)
+        if isinstance(nf, Lam):
+            return beta_normalize(subst_var(nf.body, nf.var, t.arg))
+        arg = beta_normalize(t.arg)
+        return t if nf is t.fn and arg is t.arg else App(nf, arg)
+    return map_children(t, beta_normalize)
 
 
 def alpha_eq(s: Term, t: Term) -> bool:
@@ -405,36 +389,22 @@ def alpha_eq(s: Term, t: Term) -> bool:
     """
 
     def go(s: Term, t: Term, es: dict[str, int], et: dict[str, int], d: int) -> bool:
-        match (s, t):
-            case (Var(n1, ty1), Var(n2, ty2)):
-                l1, l2 = es.get(n1), et.get(n2)
-                if l1 is None and l2 is None:
-                    return n1 == n2 and ty1 == ty2
-                return l1 == l2
-            case (Const(n1, ty1), Const(n2, ty2)):
-                return n1 == n2 and ty1 == ty2
-            case (Meta(n1, ty1), Meta(n2, ty2)):
-                return n1 == n2 and ty1 == ty2
-            case (Top(), Top()):
-                return True
-            case (App(f1, a1), App(f2, a2)):
-                return go(f1, f2, es, et, d) and go(a1, a2, es, et, d)
-            case (Lam(v1, ty1, b1), Lam(v2, ty2, b2)) | (
-                All(v1, ty1, b1), All(v2, ty2, b2)
-            ) | (Ex(v1, ty1, b1), Ex(v2, ty2, b2)):
-                if ty1 != ty2:
-                    return False
-                return go(b1, b2, {**es, v1: d}, {**et, v2: d}, d + 1)
-            case (Eq(l1, r1, ty1), Eq(l2, r2, ty2)):
-                return ty1 == ty2 and go(l1, l2, es, et, d) and go(r1, r2, es, et, d)
-            case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)) | (
-                Imp(l1, r1), Imp(l2, r2)
-            ) | (Iff(l1, r1), Iff(l2, r2)):
-                return go(l1, l2, es, et, d) and go(r1, r2, es, et, d)
-            case (Not(a1), Not(a2)):
-                return go(a1, a2, es, et, d)
-            case _:
-                return False
+        if type(s) is not type(t):
+            return False
+        if isinstance(s, Var):
+            l1, l2 = es.get(s.name), et.get(t.name)
+            if l1 is None and l2 is None:
+                return s == t
+            return l1 == l2
+        if isinstance(s, (Const, Meta)):
+            return s == t
+        if isinstance(s, BINDERS):
+            return s.var_type == t.var_type and go(
+                s.body, t.body, {**es, s.var: d}, {**et, t.var: d}, d + 1)
+        if isinstance(s, Eq) and s.at_type != t.at_type:
+            return False
+        return all(go(a, b, es, et, d)
+                   for a, b in zip(children(s), children(t)))
 
     return go(s, t, {}, {}, 0)
 
@@ -565,10 +535,6 @@ _LEVEL_NOT = 5
 _LEVEL_EQ = 6
 _LEVEL_APP = 7
 _LEVEL_ATOM = 8
-
-
-def show_type(t: Type) -> str:
-    return str(t)
 
 
 def show_term(t: Term) -> str:

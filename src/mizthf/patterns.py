@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from . import hol
-from .hol import (
-    All, And, App, Const, Eq, Ex, Iff, Imp, Lam, Meta, Not, Or, Top, Var,
-)
+from .hol import All, Const, Eq, Imp, Meta, Var
 
 
 class MatchError(Exception):
@@ -63,32 +61,13 @@ class DisagreementPair:
 def subst_metas(t: hol.Term, mapping: Mapping[Meta, hol.Term]) -> hol.Term:
     """Replace metavariables by their assigned terms.  Assignments must
     be closed, so no capture analysis is needed."""
-    match t:
-        case Meta():
+
+    def go(t: hol.Term) -> hol.Term:
+        if isinstance(t, Meta):
             return mapping.get(t, t)
-        case Var() | Const() | Top():
-            return t
-        case App(f, a):
-            return App(subst_metas(f, mapping), subst_metas(a, mapping))
-        case Lam(v, ty, b):
-            return Lam(v, ty, subst_metas(b, mapping))
-        case All(v, ty, b):
-            return All(v, ty, subst_metas(b, mapping))
-        case Ex(v, ty, b):
-            return Ex(v, ty, subst_metas(b, mapping))
-        case Eq(l, r, ty):
-            return Eq(subst_metas(l, mapping), subst_metas(r, mapping), ty)
-        case Not(a):
-            return Not(subst_metas(a, mapping))
-        case And(l, r):
-            return And(subst_metas(l, mapping), subst_metas(r, mapping))
-        case Or(l, r):
-            return Or(subst_metas(l, mapping), subst_metas(r, mapping))
-        case Imp(l, r):
-            return Imp(subst_metas(l, mapping), subst_metas(r, mapping))
-        case Iff(l, r):
-            return Iff(subst_metas(l, mapping), subst_metas(r, mapping))
-    raise TypeError(f"unexpected term {t!r}")
+        return hol.map_children(t, go)
+
+    return go(t)
 
 
 class Substitution:
@@ -105,6 +84,13 @@ class Substitution:
             if found != m.type:
                 raise hol.IllTyped(f"?{m.name}", m.type, found)
         self._map = dict(mapping)
+
+    @classmethod
+    def _checked(cls, mapping: Mapping[Meta, hol.Term]) -> Substitution:
+        """Wrap assignments already checked closed, ground and typed."""
+        sub = cls.__new__(cls)
+        sub._map = dict(mapping)
+        return sub
 
     def apply(self, t: hol.Term) -> hol.Term:
         return hol.beta_normalize(subst_metas(t, self._map))
@@ -147,24 +133,11 @@ def is_pattern(t: hol.Term, bound: Iterable[str] = ()) -> bool:
     def walk(t: hol.Term, bound: frozenset[str]) -> bool:
         head, args = hol.spine(t)
         if isinstance(head, Meta):
-            names = [a.name for a in args if isinstance(a, Var)]
-            if len(names) != len(args) or len(set(names)) != len(names):
-                return False
-            if not all(n in bound for n in names):
-                return False
-            return True
-        match t:
-            case Var() | Const() | Meta() | Top():
-                return True
-            case App(f, a):
-                return walk(f, bound) and walk(a, bound)
-            case Lam(v, _, b) | All(v, _, b) | Ex(v, _, b):
-                return walk(b, bound | {v})
-            case Eq(l, r, _) | And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                return walk(l, bound) and walk(r, bound)
-            case Not(a):
-                return walk(a, bound)
-        raise TypeError(f"unexpected term {t!r}")
+            names = {a.name for a in args if isinstance(a, Var)}
+            return len(names) == len(args) and names <= bound
+        if isinstance(t, hol.BINDERS):
+            return walk(t.body, bound | {t.var})
+        return all(walk(c, bound) for c in hol.children(t))
 
     return walk(t, frozenset(bound))
 
@@ -188,45 +161,32 @@ def pattern_match(pairs: Iterable[DisagreementPair]) -> Substitution:
         if isinstance(head, Meta):
             solve_flex(ctx, head, args, rhs)
             return
-        match lhs, rhs:
-            case Var(a, _), Var(b, _):
-                if a != b or lhs.type != rhs.type:
-                    raise NoMatch(f"variables {a!r} and {b!r} differ")
-            case Const(a, _), Const(b, _):
-                if a != b or lhs.type != rhs.type:
-                    raise NoMatch(f"constants {a!r} and {b!r} differ")
-            case Top(), Top():
-                pass
-            case App(f1, a1), App(f2, a2):
-                solve(ctx, f1, f2)
-                solve(ctx, a1, a2)
-            case (Lam(_, ty1, _), Lam(_, ty2, _)) | \
-                 (All(_, ty1, _), All(_, ty2, _)) | \
-                 (Ex(_, ty1, _), Ex(_, ty2, _)):
-                if ty1 != ty2:
-                    raise NoMatch(f"binder types {ty1} and {ty2} differ")
-                name = lhs.var
-                if name in ctx or name != rhs.var:
-                    name = hol.fresh_name(
-                        lhs.var, set(ctx) | hol.free_names(lhs.body)
-                        | hol.free_names(rhs.body))
-                fresh = Var(name, ty1)
-                solve({**ctx, name: ty1},
-                      hol.subst_var(lhs.body, lhs.var, fresh),
-                      hol.subst_var(rhs.body, rhs.var, fresh))
-            case Eq(l1, r1, ty1), Eq(l2, r2, ty2):
-                if ty1 != ty2:
-                    raise NoMatch(f"equality types {ty1} and {ty2} differ")
-                solve(ctx, l1, l2)
-                solve(ctx, r1, r2)
-            case Not(a1), Not(a2):
-                solve(ctx, a1, a2)
-            case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)) | \
-                 (Imp(l1, r1), Imp(l2, r2)) | (Iff(l1, r1), Iff(l2, r2)):
-                solve(ctx, l1, l2)
-                solve(ctx, r1, r2)
-            case _:
-                raise NoMatch(f"rigid heads differ: {lhs} against {rhs}")
+        if type(lhs) is not type(rhs):
+            raise NoMatch(f"rigid heads differ: {lhs} against {rhs}")
+        if isinstance(lhs, (Var, Const)):
+            if lhs != rhs:
+                kind = "variables" if isinstance(lhs, Var) else "constants"
+                raise NoMatch(f"{kind} {lhs.name!r} and {rhs.name!r} differ")
+            return
+        if isinstance(lhs, hol.BINDERS):
+            ty1, ty2 = lhs.var_type, rhs.var_type
+            if ty1 != ty2:
+                raise NoMatch(f"binder types {ty1} and {ty2} differ")
+            name = lhs.var
+            if name in ctx or name != rhs.var:
+                name = hol.fresh_name(
+                    lhs.var, set(ctx) | hol.free_names(lhs.body)
+                    | hol.free_names(rhs.body))
+            fresh = Var(name, ty1)
+            solve({**ctx, name: ty1},
+                  hol.subst_var(lhs.body, lhs.var, fresh),
+                  hol.subst_var(rhs.body, rhs.var, fresh))
+            return
+        if isinstance(lhs, Eq) and lhs.at_type != rhs.at_type:
+            raise NoMatch(f"equality types {lhs.at_type} and {rhs.at_type} "
+                          "differ")
+        for l, r in zip(hol.children(lhs), hol.children(rhs)):
+            solve(ctx, l, r)
 
     def solve_flex(ctx: dict[str, hol.Type], meta: Meta,
                    args: list[hol.Term], rhs: hol.Term) -> None:
@@ -254,7 +214,7 @@ def pattern_match(pairs: Iterable[DisagreementPair]) -> Substitution:
         ctx = dict(pair.context)
         solve(ctx, hol.beta_normalize(subst_metas(pair.lhs, sigma)),
               hol.beta_normalize(pair.rhs))
-    return Substitution(sigma)
+    return Substitution._checked(sigma)
 
 
 def strip_outer_quantifiers(formula: hol.Term,

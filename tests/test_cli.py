@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -146,12 +147,15 @@ def fake_prover(tmp_path, name: str, script: str) -> str:
 
 def test_prove_reads_szs_status(tmp_path, sig, corpus_files, capsys):
     conj = next(p for p in corpus_files if p.stem == "eq_triv")
+    seen = tmp_path / "seen"
     yes = fake_prover(tmp_path, "yes",
+                      f'echo "$1" >> {seen}\n'
                       'echo "% SZS status Theorem for $1"')
     assert main(["prove", str(conj), "--sig", sig, "--prover", yes]) == 0
     assert capsys.readouterr().out == "SZS status Theorem\n"
 
-    no = fake_prover(tmp_path, "no", 'echo "% SZS status GaveUp"')
+    no = fake_prover(tmp_path, "no",
+                     f'echo "$1" >> {seen}\necho "% SZS status GaveUp"')
     assert main(["prove", str(conj), "--sig", sig, "--prover", no]) == 1
     assert capsys.readouterr().out == "SZS status GaveUp\n"
 
@@ -160,13 +164,21 @@ def test_prove_reads_szs_status(tmp_path, sig, corpus_files, capsys):
                  "--prover", silent]) == 1
     assert capsys.readouterr().out == "SZS status Unknown\n"
 
+    problems = seen.read_text().split()
+    assert len(problems) == 2
+    assert not any(Path(p).exists() for p in problems)
+
 
 def test_prove_timeout_and_missing_prover(tmp_path, sig, corpus_files,
                                           capsys):
     conj = next(p for p in corpus_files if p.stem == "eq_triv")
-    slow = fake_prover(tmp_path, "slow", "sleep 5")
+    seen = tmp_path / "seen"
+    slow = fake_prover(tmp_path, "slow", f'echo "$1" > {seen}\nexec sleep 5')
     assert main(["prove", str(conj), "--sig", sig, "--prover", slow,
-                 "--timeout", "0.2"]) == 1
+                 "--timeout", "0.5"]) == 1
     assert "timed out" in capsys.readouterr().err
+    problem = Path(seen.read_text().strip())
+    assert problem.suffix == ".p"
+    assert not problem.exists()
     assert main(["prove", str(conj), "--sig", sig,
                  "--prover", str(tmp_path / "absent")]) == 2

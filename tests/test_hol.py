@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from mizthf.hol import (
     alpha_eq, apps, arg_types, beta_normalize, fn, free_vars, fresh_name,
     lams, result_type, spine, subst_var, type_of,
 )
+from mizthf.patterns import subst_metas
 
 from generators import random_closed_prop, random_term, random_type
 
@@ -206,23 +208,12 @@ def test_alpha_eq_survives_consistent_renaming(t, seed):
 
 
 def _rename_binders(t, rng):
-    match t:
-        case Var() | Const() | Meta() | Top():
-            return t
-        case App(fn_, a):
-            return App(_rename_binders(fn_, rng), _rename_binders(a, rng))
-        case Lam(v, ty, b) | All(v, ty, b) | Ex(v, ty, b):
-            fresh = fresh_name(f"r{rng.randrange(10)}",
-                               hol.free_names(b) | {v})
-            b2 = subst_var(b, v, Var(fresh, ty))
-            return type(t)(fresh, ty, _rename_binders(b2, rng))
-        case Eq(l, r, ty):
-            return Eq(_rename_binders(l, rng), _rename_binders(r, rng), ty)
-        case Not(a):
-            return Not(_rename_binders(a, rng))
-        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            return type(t)(_rename_binders(l, rng), _rename_binders(r, rng))
-    raise AssertionError
+    if isinstance(t, hol.BINDERS):
+        fresh = fresh_name(f"r{rng.randrange(10)}",
+                           hol.free_names(t.body) | {t.var})
+        b2 = subst_var(t.body, t.var, Var(fresh, t.var_type))
+        return type(t)(fresh, t.var_type, _rename_binders(b2, rng))
+    return hol.map_children(t, lambda s: _rename_binders(s, rng))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -247,3 +238,54 @@ def test_builders():
     assert hol.imps([TOP, TOP], Not(TOP)) == Imp(TOP, Imp(TOP, Not(TOP)))
     assert hol.ands([TOP, Not(TOP), TOP]) == And(TOP, And(Not(TOP), TOP))
     assert apps(f, c) == App(f, c)
+
+
+# ------------------------------------------------------------- traversal
+
+ONE_OF_EACH = [
+    x, c, Meta("M", IND), TOP, App(f, c), Lam("x", IND, App(f, x)),
+    All("x", IND, Eq(x, c, IND)), Ex("y", IND, Not(TOP)), Eq(c, x, IND),
+    Not(Eq(c, c, IND)), And(TOP, Not(TOP)), Or(Not(TOP), TOP),
+    Imp(TOP, Eq(c, c, IND)), Iff(Eq(c, c, IND), TOP),
+]
+
+
+def test_children_and_map_children_cover_every_constructor():
+    constructors = {cls for cls in hol.Term.__subclasses__()
+                    if cls.__module__ == hol.__name__}
+    assert {type(t) for t in ONE_OF_EACH} == constructors
+    for t in ONE_OF_EACH:
+        subs = {fl.name: getattr(t, fl.name) for fl in dataclasses.fields(t)
+                if isinstance(getattr(t, fl.name), hol.Term)}
+        assert hol.children(t) == tuple(subs.values())
+        assert hol.map_children(t, Not) == dataclasses.replace(
+            t, **{k: Not(v) for k, v in subs.items()})
+    with pytest.raises(TypeError, match="unexpected term"):
+        hol.children(_Foreign())
+    with pytest.raises(TypeError, match="unexpected term"):
+        hol.map_children(_Foreign(), lambda s: s)
+
+
+class _Foreign(hol.Term):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("walk", [
+    beta_normalize,
+    lambda t: subst_var(t, "x", c),
+    free_vars,
+    lambda t: subst_metas(t, {Meta("M", IND): c}),
+])
+def test_walks_reject_a_foreign_term(walk):
+    with pytest.raises(TypeError, match="unexpected term"):
+        walk(And(TOP, _Foreign()))
+
+
+def test_map_children_returns_the_term_when_nothing_changes():
+    rng = random.Random(11)
+    for _ in range(100):
+        t = random_closed_prop(rng)
+        assert list(hol.subterms(t)) == [t] + [
+            s for k in hol.children(t) for s in hol.subterms(k)]
+        for s in hol.subterms(t):
+            assert hol.map_children(s, lambda k: k) is s

@@ -90,6 +90,18 @@ def test_match_reorders_spines():
     assert hol.alpha_eq(sigma[R], want)
 
 
+def test_match_type_checks_each_solution_once(monkeypatch):
+    typed = []
+    type_of = hol.type_of
+    monkeypatch.setattr(hol, "type_of",
+                        lambda t, ctx: typed.append(t) or type_of(t, ctx))
+    A, P = Meta("A", i), Meta("P", fn(i, o))
+    lhs = And(Eq(A, c1, i), All("x", i, App(P, Var("x", i))))
+    rhs = And(Eq(c2, c1, i), All("x", i, App(p1, Var("x", i))))
+    sigma = pattern_match([pair(lhs, rhs)])
+    assert typed == [sigma[A], sigma[P]]
+
+
 def test_match_mismatched_binder_names_align():
     P = Meta("P", fn(i, o))
     lhs = Lam("x", i, App(P, Var("x", i)))
