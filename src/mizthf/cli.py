@@ -13,7 +13,9 @@ Exit status: 0 success, 1 diagnostics or no match or not proved,
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -161,14 +163,19 @@ def cmd_prove(args: argparse.Namespace) -> int:
         handle.write(text)
         path = handle.name
     try:
-        run = subprocess.run(
-            [args.prover, path], capture_output=True, text=True,
-            timeout=args.timeout)
-    except subprocess.TimeoutExpired:
-        return _fail(f"prover timed out after {args.timeout}s", 1)
+        # its own session, so a timeout can kill whatever it started too
+        with subprocess.Popen(
+                [args.prover, path], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True,
+                start_new_session=True) as prover:
+            try:
+                stdout, stderr = prover.communicate(timeout=args.timeout)
+            except subprocess.TimeoutExpired:
+                os.killpg(prover.pid, signal.SIGKILL)
+                return _fail(f"prover timed out after {args.timeout}s", 1)
     finally:
         Path(path).unlink(missing_ok=True)
-    output = run.stdout + run.stderr
+    output = stdout + stderr
     match = re.search(r"SZS status (\w+)", output)
     status = match.group(1) if match else "Unknown"
     print(f"SZS status {status}")

@@ -7,8 +7,9 @@ the global choice operator ``the T`` and Fraenkel comprehensions
 ``{ t where x1 is T1, ... : p }``.  Quantifiers bind object variables
 only; second-order generality lives exclusively in the prefix.
 
-``Signature`` records the constant names a statement may mention.  The
-membership predicate ``in`` is hard-wired and always present.
+``Signature`` records the constant names a statement may mention.
+Membership is not among them: ``in`` is a keyword of the concrete syntax
+and ``MIn`` its only node, and a signature refuses to declare ``in``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ PRED = "pred"
 MODE = "mode"
 ATTR = "attr"
 
-MEMBER = "in"
+MEMBER = "in"  # the membership keyword, never a signature entry
 
 # names the translation target reserves for its own constant family
 _RESERVED = re.compile(r"eps|r2_hidden|sethood|replSep_[0-9]+")
@@ -52,11 +53,11 @@ class Signature:
     mode; it must be binary (subject plus one argument)."""
 
     def __init__(self) -> None:
-        self._entries: dict[str, SigEntry] = {MEMBER: SigEntry(PRED, 2)}
+        self._entries: dict[str, SigEntry] = {}
         self.elementof: str | None = None
 
     def declare(self, name: str, kind: str, arity: int | None = None) -> None:
-        if name in self._entries:
+        if name in self._entries or name == MEMBER:
             raise DuplicateName(name)
         if _RESERVED.fullmatch(name):
             raise ValueError(f"{name!r} is reserved for the translation "

@@ -25,12 +25,19 @@ Proposition precedence, loosest first: ``iff``, ``implies``, ``or``,
 ``&``, ``not``; all binary connectives associate to the right, and
 quantifiers extend as far right as possible.  Predicate applications may
 be written ``name[args]`` or ``name(args)``; attribute and mode
-constants double as predicate constants.  ``#`` starts a comment.
+constants double as predicate constants.  Membership ``x in X`` is
+written with the keyword ``in``, which no signature can declare.
+
+``tokenize`` is one regular expression with a named group per lexeme.
+``#`` starts a comment, a word starts with a letter or ``_``, and
+whitespace is space, tab, carriage return and newline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from functools import partial
+from typing import Callable, NamedTuple, TypeVar
 
 from .mizar import (
     ATTR, FUNC, MODE, OBJ, PRED,
@@ -46,67 +53,59 @@ KEYWORDS = frozenset(
     "not or implies iff in Element of".split()
 )
 
-_SYMBOLS = ("->", "{", "}", "(", ")", "[", "]", ",", ":", "=", "&")
+# One alternative per lexeme, tried in order.  ``\w`` also admits digits
+# and numerals such as "²", so a word must pass ``_starts_word`` too.
+_LEXEME = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<word>\w+)
+  | (?P<sym>->|[{}()\[\],:=&])
+  | (?P<stray>.)
+""", re.VERBOSE)
 
 _MAX_DEPTH = 200
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name", "kw", "sym", "eof"
     text: str
     line: int
     col: int
 
 
-def _is_word_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
+def _starts_word(c: str) -> bool:
+    return c.isalpha() or c == "_"
 
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start, end = 1, 0, 0
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind == "comment":  # runs up to the newline; eof stays before it
+            continue
+        start, end = m.span()
+        if kind == "space":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = end
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and _is_word_char(text[j]):
-                j += 1
-            word = text[i:j]
+        word = m.group()
+        if kind == "word" and _starts_word(word[0]):
             kind = "kw" if word in KEYWORDS else "name"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"stray character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        elif kind != "sym":
+            raise ParseError(f"stray character {word[0]!r}", line,
+                             start - line_start + 1)
+        toks.append(Token(kind, word, line, start - line_start + 1))
+    toks.append(Token("eof", "", line, end - line_start + 1))
     return toks
 
 
 def parse_signature(text: str) -> Signature:
-    """Parse a signature file.  Duplicate names are errors; ``in`` is
-    predeclared and cannot be redeclared."""
+    """Parse a signature file.  Duplicate names are errors; ``in`` is a
+    keyword and cannot be declared."""
     sig = Signature()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -144,8 +143,8 @@ def parse_signature(text: str) -> Signature:
 def _check_name(name: str, line: int, col: int) -> str:
     if name in KEYWORDS:
         raise ParseError(f"{name!r} is a reserved word", line, col)
-    if not name or not (name[0].isalpha() or name[0] == "_") or not all(
-            _is_word_char(c) for c in name):
+    m = _LEXEME.fullmatch(name)
+    if not (m and m.lastgroup == "word" and _starts_word(name[0])):
         raise ParseError(f"invalid name {name!r}", line, col)
     return name
 
@@ -159,6 +158,13 @@ def parse_statement(text: str, sig: Signature) -> MStatement:
 
 # Scope values mirror well_formed's: (OBJ, 0), (FUNC, n) or (PRED, n).
 _Scope = dict[str, tuple[str, int]]
+_T = TypeVar("_T")
+
+# Binary connectives, loosest first; all associate to the right.
+_CONNECTIVES = (("kw", "iff", MIff), ("kw", "implies", MImp),
+                ("kw", "or", MOr), ("sym", "&", MAnd))
+_LEVEL = {(kind, text): level
+          for level, (kind, text, _) in enumerate(_CONNECTIVES)}
 
 
 class _Parser:
@@ -197,13 +203,28 @@ class _Parser:
                              tok.line, tok.col)
         return tok
 
-    def _enter(self) -> None:
+    def comma_list(self, item: Callable[[], _T],
+                   close: str | None = None) -> list[_T]:
+        """``item ("," item)*``.  With a ``close`` symbol the list may be
+        empty and must end with that symbol, which is consumed."""
+        items: list[_T] = []
+        if close is None or not self.at("sym", close):
+            items.append(item())
+            while self.at("sym", ","):
+                self.next()
+                items.append(item())
+        if close is not None:
+            self.expect("sym", close)
+        return items
+
+    def __enter__(self) -> None:
+        """``with self:`` around each recursive rule bounds the nesting."""
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             tok = self.peek()
             raise ParseError("nesting too deep", tok.line, tok.col)
 
-    def _leave(self) -> None:
+    def __exit__(self, *exc) -> None:
         self.depth -= 1
 
     # -------------------------------------------------------- statements
@@ -214,13 +235,7 @@ class _Parser:
             name = self.name_tok("a scheme name").text
             self.expect("sym", "{")
             scope: _Scope = {}
-            prefix: list[VarDecl] = []
-            if not self.at("sym", "}"):
-                prefix.append(self.decl(scope))
-                while self.at("sym", ","):
-                    self.next()
-                    prefix.append(self.decl(scope))
-            self.expect("sym", "}")
+            prefix = self.comma_list(partial(self.decl, scope), "}")
             self.expect("sym", ":")
             body = self.prop(scope)
         elif tok.kind == "kw" and tok.text == "statement":
@@ -242,45 +257,27 @@ class _Parser:
         name = tok.text
         if name in scope:
             raise DuplicateName(name).at(tok.line, tok.col)
-        if self.at("sym", "("):
-            self.next()
-            args: list[MType] = []
-            if not self.at("sym", ")"):
-                args.append(self.mtype(scope))
-                while self.at("sym", ","):
-                    self.next()
-                    args.append(self.mtype(scope))
-            self.expect("sym", ")")
-            self.expect("sym", "->")
-            result = self.mtype(scope)
-            if args:
-                decl: VarDecl = FunDecl(name, tuple(args), result)
-                scope[name] = (FUNC, len(args))
-            else:
-                decl = ObjDecl(name, result)
-                scope[name] = (OBJ, 0)
-        elif self.at("sym", "["):
-            self.next()
-            args = []
-            if not self.at("sym", "]"):
-                args.append(self.mtype(scope))
-                while self.at("sym", ","):
-                    self.next()
-                    args.append(self.mtype(scope))
-            self.expect("sym", "]")
-            decl = PredDecl(name, tuple(args))
-            scope[name] = (PRED, len(args))
-        else:
-            tok = self.peek()
+        tok = self.next()
+        if tok.kind != "sym" or tok.text not in ("(", "["):
             raise ParseError("expected '(' or '[' in declaration",
                              tok.line, tok.col)
-        return decl
+        args = tuple(self.comma_list(partial(self.mtype, scope),
+                                     ")" if tok.text == "(" else "]"))
+        if tok.text == "[":
+            scope[name] = (PRED, len(args))
+            return PredDecl(name, args)
+        self.expect("sym", "->")
+        result = self.mtype(scope)
+        if args:
+            scope[name] = (FUNC, len(args))
+            return FunDecl(name, args, result)
+        scope[name] = (OBJ, 0)
+        return ObjDecl(name, result)
 
     # ------------------------------------------------------------- types
 
     def mtype(self, scope: _Scope) -> MType:
-        self._enter()
-        try:
+        with self:
             tok = self.peek()
             if tok.kind == "kw" and tok.text == "set":
                 self.next()
@@ -311,12 +308,7 @@ class _Parser:
                     args: list[MTerm] = []
                     if self.at("sym", "("):
                         self.next()
-                        if not self.at("sym", ")"):
-                            args.append(self.term(scope))
-                            while self.at("sym", ","):
-                                self.next()
-                                args.append(self.term(scope))
-                        self.expect("sym", ")")
+                        args = self.comma_list(partial(self.term, scope), ")")
                     if entry.arity != len(args) + 1:
                         raise ArityMismatch(
                             tok.text, entry.arity - 1, len(args)
@@ -327,8 +319,6 @@ class _Parser:
                     tok.line, tok.col)
             raise ParseError(f"expected a type, got {tok.text!r}",
                              tok.line, tok.col)
-        finally:
-            self._leave()
 
     def _want_attr(self, tok: Token) -> None:
         entry = self.sig.lookup(tok.text)
@@ -340,8 +330,7 @@ class _Parser:
     # ------------------------------------------------------------- terms
 
     def term(self, scope: _Scope) -> MTerm:
-        self._enter()
-        try:
+        with self:
             tok = self.peek()
             if tok.kind == "kw" and tok.text == "the":
                 self.next()
@@ -352,8 +341,6 @@ class _Parser:
                 return self.named_term(scope)
             raise ParseError(f"expected a term, got {tok.text!r}",
                              tok.line, tok.col)
-        finally:
-            self._leave()
 
     def named_term(self, scope: _Scope) -> MTerm:
         tok = self.next()
@@ -370,37 +357,30 @@ class _Parser:
                             tok.line, tok.col)
                     self.next()
                 return ObjVar(name)
-            if kind == FUNC:
-                args = self.paren_args(scope, tok, arity)
-                return FunVarApp(name, tuple(args))
-            raise KindMismatch(name, "usable in a term").at(tok.line, tok.col)
-        entry = self.sig.lookup(name)
-        if entry is None:
-            raise UnknownName(name).at(tok.line, tok.col)
-        if entry.kind == OBJ:
-            if self.at("sym", "("):
-                raise KindMismatch(name, "a function").at(tok.line, tok.col)
-            return ObjConst(name)
-        if entry.kind == FUNC:
-            args = self.paren_args(scope, tok, entry.arity)
-            return FunConstApp(name, tuple(args))
-        raise KindMismatch(name, "usable in a term").at(tok.line, tok.col)
-
-    def paren_args(self, scope: _Scope, tok: Token, arity: int) -> list[MTerm]:
+            if kind != FUNC:
+                raise KindMismatch(name, "usable in a term").at(
+                    tok.line, tok.col)
+            app = FunVarApp
+        else:
+            entry = self.sig.lookup(name)
+            if entry is None:
+                raise UnknownName(name).at(tok.line, tok.col)
+            if entry.kind == OBJ:
+                if self.at("sym", "("):
+                    raise KindMismatch(name, "a function").at(
+                        tok.line, tok.col)
+                return ObjConst(name)
+            if entry.kind != FUNC:
+                raise KindMismatch(name, "usable in a term").at(
+                    tok.line, tok.col)
+            app, arity = FunConstApp, entry.arity
         if not self.at("sym", "("):
-            raise ArityMismatch(tok.text, arity, 0).at(tok.line, tok.col)
+            raise ArityMismatch(name, arity, 0).at(tok.line, tok.col)
         self.next()
-        args: list[MTerm] = []
-        if not self.at("sym", ")"):
-            args.append(self.term(scope))
-            while self.at("sym", ","):
-                self.next()
-                args.append(self.term(scope))
-        self.expect("sym", ")")
+        args = self.comma_list(partial(self.term, scope), ")")
         if len(args) != arity:
-            raise ArityMismatch(tok.text, arity, len(args)).at(
-                tok.line, tok.col)
-        return args
+            raise ArityMismatch(name, arity, len(args)).at(tok.line, tok.col)
+        return app(name, tuple(args))
 
     def fraenkel(self, scope: _Scope) -> MTerm:
         open_tok = self.expect("sym", "{")
@@ -410,19 +390,19 @@ class _Parser:
         where_at = self._find_where(open_tok)
         self.pos = where_at + 1
         inner = dict(scope)
-        binders: list[tuple[str, MType]] = []
-        while True:
+        names: list[str] = []
+
+        def binder() -> tuple[str, MType]:
             tok = self.name_tok("a binder name")
-            if any(tok.text == b for b, _ in binders):
+            if tok.text in names:
                 raise DuplicateName(tok.text).at(tok.line, tok.col)
             self.expect("kw", "is")
             mt = self.mtype(inner)
-            binders.append((tok.text, mt))
+            names.append(tok.text)
             inner[tok.text] = (OBJ, 0)
-            if self.at("sym", ","):
-                self.next()
-                continue
-            break
+            return tok.text, mt
+
+        binders = self.comma_list(binder)
         self.expect("sym", ":")
         guard = self.prop(inner)
         self.expect("sym", "}")
@@ -454,39 +434,23 @@ class _Parser:
     # ------------------------------------------------------ propositions
 
     def prop(self, scope: _Scope) -> MProp:
-        self._enter()
-        try:
-            return self.prop_iff(scope)
-        finally:
-            self._leave()
-
-    def prop_iff(self, scope: _Scope) -> MProp:
-        parts = [self.prop_imp(scope)]
-        while self.at("kw", "iff"):
-            self.next()
-            parts.append(self.prop_imp(scope))
-        return _fold_right(MIff, parts)
-
-    def prop_imp(self, scope: _Scope) -> MProp:
-        left = self.prop_or(scope)
-        if self.at("kw", "implies"):
-            self.next()
-            return MImp(left, self.prop_imp(scope))
-        return left
-
-    def prop_or(self, scope: _Scope) -> MProp:
-        parts = [self.prop_and(scope)]
-        while self.at("kw", "or"):
-            self.next()
-            parts.append(self.prop_and(scope))
-        return _fold_right(MOr, parts)
-
-    def prop_and(self, scope: _Scope) -> MProp:
-        parts = [self.prop_not(scope)]
-        while self.at("sym", "&"):
-            self.next()
-            parts.append(self.prop_not(scope))
-        return _fold_right(MAnd, parts)
+        """Operands joined by the connectives of ``_CONNECTIVES``.  A
+        connective waits on ``ops`` until a looser one or the end of the
+        proposition closes it, so equal levels fold to the right."""
+        with self:
+            operands = [self.prop_not(scope)]
+            ops: list[int] = []
+            while True:
+                level = _LEVEL.get(self.peek()[:2], -1)
+                while ops and ops[-1] > level:
+                    rhs = operands.pop()
+                    operands[-1] = _CONNECTIVES[ops.pop()][2](
+                        operands[-1], rhs)
+                if level < 0:
+                    return operands[0]
+                self.next()
+                ops.append(level)
+                operands.append(self.prop_not(scope))
 
     def prop_not(self, scope: _Scope) -> MProp:
         count = 0
@@ -499,8 +463,7 @@ class _Parser:
         return p
 
     def prop_atom(self, scope: _Scope) -> MProp:
-        self._enter()
-        try:
+        with self:
             tok = self.peek()
             if tok.kind == "sym" and tok.text == "(":
                 self.next()
@@ -511,88 +474,62 @@ class _Parser:
                 return self.quantified(scope, tok.text)
             if tok.kind == "name":
                 pred = self.pred_resolution(tok.text, scope)
-                if self.at("sym", "[", ahead=1):
-                    if pred is None:
-                        self.next()
-                        raise KindMismatch(tok.text, "a predicate").at(
-                            tok.line, tok.col)
-                    return self.pred_app(scope, pred)
-                if self.at("sym", "(", ahead=1) and pred is not None:
-                    return self.pred_app(scope, pred)
-                if pred is not None and pred[1][1] == 0:
+                bracket = self.at("sym", "[", ahead=1)
+                if bracket and pred is None:
                     self.next()
-                    return self.build_pred(*pred, (), tok)
+                    raise KindMismatch(tok.text, "a predicate").at(
+                        tok.line, tok.col)
+                paren = self.at("sym", "(", ahead=1)
+                if pred is not None and (bracket or paren or pred[1] == 0):
+                    self.next()
+                    args: tuple[MTerm, ...] = ()
+                    if bracket or paren:
+                        close = "]" if self.next().text == "[" else ")"
+                        args = tuple(self.comma_list(
+                            partial(self.term, scope), close))
+                    node, arity = pred
+                    if len(args) != arity:
+                        raise ArityMismatch(tok.text, arity, len(args)).at(
+                            tok.line, tok.col)
+                    return node(tok.text, args)
             return self.relational(scope)
-        finally:
-            self._leave()
 
     def quantified(self, scope: _Scope, kw: str) -> MProp:
         """One quantifier block.  Variables may share a type ("for x, y
         being set") and blocks may chain ("for x being set ex y being
         set st ..."); the body keyword is "holds" after "for" and "st"
         after "ex"."""
-        self._enter()
-        try:
-            return self._quantified(scope, kw)
-        finally:
-            self._leave()
-
-    def _quantified(self, scope: _Scope, kw: str) -> MProp:
-        self.expect("kw", kw)
-        names = [self.name_tok("a variable name").text]
-        while self.at("sym", ","):
-            self.next()
-            names.append(self.name_tok("a variable name").text)
-        self.expect("kw", "being")
-        mt = self.mtype(scope)
-        inner = dict(scope)
-        for name in names:
-            inner[name] = (OBJ, 0)
-        nxt = self.peek()
-        if nxt.kind == "kw" and nxt.text in ("for", "ex"):
-            body = self.quantified(inner, nxt.text)
-        else:
-            self.expect("kw", "holds" if kw == "for" else "st")
-            body = self.prop(inner)
-        ctor = ForBeing if kw == "for" else ExBeing
-        for name in reversed(names):
-            body = ctor(name, mt, body)
-        return body
+        with self:
+            self.expect("kw", kw)
+            names = self.comma_list(
+                lambda: self.name_tok("a variable name").text)
+            self.expect("kw", "being")
+            mt = self.mtype(scope)
+            inner = dict(scope)
+            for name in names:
+                inner[name] = (OBJ, 0)
+            nxt = self.peek()
+            if nxt.kind == "kw" and nxt.text in ("for", "ex"):
+                body = self.quantified(inner, nxt.text)
+            else:
+                self.expect("kw", "holds" if kw == "for" else "st")
+                body = self.prop(inner)
+            ctor = ForBeing if kw == "for" else ExBeing
+            for name in reversed(names):
+                body = ctor(name, mt, body)
+            return body
 
     def pred_resolution(
-            self, name: str, scope: _Scope) -> tuple[str, tuple[str, int]] | None:
-        """How ``name`` would resolve as a predicate: ("var"|"const",
-        (kind, arity)), or None if it is not predicate-like."""
+            self, name: str, scope: _Scope) -> tuple[type, int] | None:
+        """How ``name`` would resolve as a predicate: the node it builds
+        and its arity, or None if it is not predicate-like."""
         got = scope.get(name)
         if got is not None:
-            return ("var", got) if got[0] == PRED else None
+            return (PredVarApp, got[1]) if got[0] == PRED else None
         entry = self.sig.lookup(name)
         if entry is not None and entry.kind in (PRED, ATTR, MODE):
-            return ("const", (entry.kind, entry.arity))
+            return PredConstApp, entry.arity
         return None
-
-    def pred_app(self, scope: _Scope, pred: tuple[str, tuple[str, int]]) -> MProp:
-        tok = self.next()
-        close = "]" if self.at("sym", "[") else ")"
-        self.next()
-        args: list[MTerm] = []
-        if not self.at("sym", close):
-            args.append(self.term(scope))
-            while self.at("sym", ","):
-                self.next()
-                args.append(self.term(scope))
-        self.expect("sym", close)
-        return self.build_pred(*pred, tuple(args), tok)
-
-    def build_pred(self, which: str, sig_info: tuple[str, int],
-                   args: tuple[MTerm, ...], tok: Token) -> MProp:
-        _, arity = sig_info
-        if len(args) != arity:
-            raise ArityMismatch(tok.text, arity, len(args)).at(
-                tok.line, tok.col)
-        if which == "var":
-            return PredVarApp(tok.text, args)
-        return PredConstApp(tok.text, args)
 
     def relational(self, scope: _Scope) -> MProp:
         lhs = self.term(scope)
@@ -603,10 +540,3 @@ class _Parser:
             return MEq(lhs, self.term(scope))
         raise ParseError(f"expected '=' or 'in', got {tok.text!r}",
                          tok.line, tok.col)
-
-
-def _fold_right(ctor, parts: list[MProp]) -> MProp:
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = ctor(p, out)
-    return out

@@ -10,7 +10,7 @@ appear under a connective; the ``Element of`` sugar is not re-created
 from __future__ import annotations
 
 from .mizar import (
-    MEMBER, Attr, ExBeing, ForBeing, Fraenkel, FunConstApp, FunDecl,
+    Attr, ExBeing, ForBeing, Fraenkel, FunConstApp, FunDecl,
     FunVarApp, MAnd, MEq, MIff, MImp, MIn, MNot, MOr, MProp, MStatement,
     MTerm, MType, Mode, NonAttr, ObjConst, ObjDecl, ObjVar, PredConstApp,
     PredDecl, PredVarApp, SetType, The, VarDecl,
@@ -87,9 +87,6 @@ def print_prop(p: MProp, need: int = 0) -> str:
             inner = ", ".join(print_term(a) for a in args)
             return f"{name}[{inner}]"
         case PredConstApp(name, args):
-            if name == MEMBER:
-                l, r = args
-                return f"{print_term(l)} in {print_term(r)}"
             inner = ", ".join(print_term(a) for a in args)
             return f"{name}({inner})"
         case MEq(l, r):

@@ -6,11 +6,15 @@ emitter produces (type, definition, axiom, conjecture roles; ``$i``,
 ``!``/``?``/``^`` binders and ``@`` application) and reports anything
 outside that subset or ill-typed as diagnostics.  It shares no code
 with the emitter, so a bug must be made twice to slip through.
+
+The lexer is one regular expression with a named group per lexeme;
+whitespace is whatever ``str.isspace`` accepts, ``%`` starts a comment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from . import hol
 from .hol import (
@@ -19,12 +23,20 @@ from .hol import (
 )
 from .mizar import Diagnostic
 
-_SYMBOLS = ("<=>", "=>", "(", ")", "[", "]", ":", ",", ".", ">", "@",
-            "~", "&", "|", "!", "?", "^", "=")
+# One alternative per lexeme, tried in order.  ``\w`` also admits digits
+# and numerals such as "²", which cannot start a word.
+_LEXEME = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[^\S\n]+)
+  | (?P<comment>%[^\n]*)
+  | (?P<word>\w+)
+  | (?P<dollar>\$\w*)
+  | (?P<sym><=>|=>|[()\[\]:,.>@~&|!?^=])
+  | (?P<stray>.)
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # word, dollar, sym, eof
     text: str
     line: int
@@ -45,42 +57,26 @@ class _Reject(Exception):
 
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    line, line_start, end = 1, 0, 0
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind == "comment":  # runs up to the newline; eof stays before it
+            continue
+        start, end = m.span()
+        if kind == "space":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = end
             continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_" or c == "$":
-            j = i + (c == "$")
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(_Tok("dollar" if c == "$" else "word",
-                             word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Tok("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise _Reject("syntax", f"stray character {c!r}", f"{line}:{col}")
-    toks.append(_Tok("eof", "", line, col))
+        word = m.group()
+        col = start - line_start + 1
+        if kind == "stray" or (kind == "word" and not (
+                word[0].isalpha() or word[0] == "_")):
+            raise _Reject("syntax", f"stray character {word[0]!r}",
+                          f"{line}:{col}")
+        toks.append(_Tok(kind, word, line, col))
+    toks.append(_Tok("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -126,26 +122,23 @@ class _Checker:
 
     def run(self) -> list[Diagnostic]:
         # first pass collects declarations so formula order is free
-        start = self.pos
-        while self.peek().kind != "eof":
-            try:
-                self.line(types_only=True)
-            except _Reject as r:
-                self.diags.append(r.diagnostic)
-                self.skip_line()
-        self.pos = start
+        self.pass_over(types_only=True)
         if not self.diags:
-            while self.peek().kind != "eof":
-                try:
-                    self.line(types_only=False)
-                except _Reject as r:
-                    self.diags.append(r.diagnostic)
-                    self.skip_line()
+            self.pass_over(types_only=False)
         if not self.diags and self.conjectures > 1:
             self.diags.append(Diagnostic(
                 "conjectures", f"{self.conjectures} conjectures in one "
                 "problem", ""))
         return self.diags
+
+    def pass_over(self, types_only: bool) -> None:
+        self.pos = 0
+        while self.peek().kind != "eof":
+            try:
+                self.line(types_only)
+            except _Reject as r:
+                self.diags.append(r.diagnostic)
+                self.skip_line()
 
     def line(self, types_only: bool) -> None:
         self.expect("thf")

@@ -27,7 +27,7 @@ from .declarations import (
 )
 from .hol import All, And, Const, Eq, Ex, Imp, IND, Lam, PROP, TOP, Var
 from .mizar import (
-    MEMBER, Attr, ExBeing, ForBeing, Fraenkel, FunConstApp, FunDecl,
+    Attr, ExBeing, ForBeing, Fraenkel, FunConstApp, FunDecl,
     FunVarApp, MAnd, MEq, MIff, MImp, MIn, MNot, MOr, MProp, MStatement,
     MTerm, MType, Mode, NonAttr, ObjConst, ObjDecl, ObjVar, PredConstApp,
     PredDecl, PredVarApp, SetType, Signature, The,
@@ -70,6 +70,18 @@ class TransEnv:
 def apply_class(cls: hol.Term, subject: hol.Term) -> hol.Term:
     """The class predicate applied to a subject, beta-reduced."""
     return hol.beta_normalize(hol.App(cls, subject))
+
+
+def _relativize(binder, var: str, cls: hol.Term,
+                body: hol.Term) -> hol.Term:
+    """``binder`` (``All`` or ``Ex``) over ``var : i`` restricted to the
+    class ``cls``: ``∀var. cls var → body`` or ``∃var. cls var ∧ body``.
+    A guard that is literally ``TOP`` is dropped; this is the only place
+    guards are simplified."""
+    guard = apply_class(cls, Var(var, IND))
+    if guard != TOP:
+        body = (Imp if binder is All else And)(guard, body)
+    return binder(var, IND, body)
 
 
 def translate_type(t: MType, env: TransEnv) -> hol.Term:
@@ -146,10 +158,6 @@ def translate_prop(p: MProp, env: TransEnv) -> hol.Term:
             return hol.apps(env.var(name),
                             *(translate_term(a, env) for a in args))
         case PredConstApp(name, args):
-            if name == MEMBER:
-                l, r = args
-                return member(translate_term(l, env),
-                              translate_term(r, env))
             return hol.apps(env.const(name),
                             *(translate_term(a, env) for a in args))
         case MEq(l, r):
@@ -167,13 +175,11 @@ def translate_prop(p: MProp, env: TransEnv) -> hol.Term:
         case MIff(l, r):
             return hol.Iff(translate_prop(l, env), translate_prop(r, env))
         case ForBeing(var, mt, body):
-            guard = apply_class(translate_type(mt, env), Var(var, IND))
-            inner = translate_prop(body, env.bind(var, IND))
-            return All(var, IND, inner if guard == TOP else Imp(guard, inner))
+            return _relativize(All, var, translate_type(mt, env),
+                               translate_prop(body, env.bind(var, IND)))
         case ExBeing(var, mt, body):
-            guard = apply_class(translate_type(mt, env), Var(var, IND))
-            inner = translate_prop(body, env.bind(var, IND))
-            return Ex(var, IND, inner if guard == TOP else And(guard, inner))
+            return _relativize(Ex, var, translate_type(mt, env),
+                               translate_prop(body, env.bind(var, IND)))
     raise TypeError(f"unexpected proposition {p!r}")
 
 
@@ -192,10 +198,8 @@ def translate_statement(s: MStatement, sig: Signature,
         decl = s.prefix[i]
         match decl:
             case ObjDecl(name, mt):
-                guard = apply_class(translate_type(mt, env), Var(name, IND))
-                rest = go(i + 1, env.bind(name, IND))
-                return All(name, IND,
-                           rest if guard == TOP else Imp(guard, rest))
+                return _relativize(All, name, translate_type(mt, env),
+                                   go(i + 1, env.bind(name, IND)))
             case FunDecl(name, args, result):
                 fty = hol.fn(*([IND] * len(args)), IND)
                 arg_classes = [translate_type(a, env) for a in args]
@@ -209,10 +213,7 @@ def translate_statement(s: MStatement, sig: Signature,
                 fvar = Var(name, fty)
                 typing = apply_class(res_class, hol.apps(fvar, *xs))
                 for cls, x in zip(reversed(arg_classes), reversed(xs)):
-                    guard = apply_class(cls, x)
-                    if guard != TOP:
-                        typing = Imp(guard, typing)
-                    typing = All(x.name, IND, typing)
+                    typing = _relativize(All, x.name, cls, typing)
                 rest = go(i + 1, env.bind(name, fty))
                 return All(name, fty, Imp(typing, rest))
             case PredDecl(name, args):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import stat
+import time
 from pathlib import Path
 
 import pytest
@@ -182,3 +183,30 @@ def test_prove_timeout_and_missing_prover(tmp_path, sig, corpus_files,
     assert not problem.exists()
     assert main(["prove", str(conj), "--sig", sig,
                  "--prover", str(tmp_path / "absent")]) == 2
+
+
+def _alive(pid: int) -> bool:
+    """Running, as opposed to gone or an unreaped zombie."""
+    try:
+        stat_line = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat_line.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process states from /proc")
+def test_prove_timeout_kills_what_the_prover_started(tmp_path, sig,
+                                                     corpus_files, capsys):
+    conj = next(p for p in corpus_files if p.stem == "eq_triv")
+    pidfile = tmp_path / "pid"
+    wrapper = fake_prover(tmp_path, "wrapper",
+                          f"sleep 30 &\necho $! > {pidfile}\nwait")
+    assert main(["prove", str(conj), "--sig", sig, "--prover", wrapper,
+                 "--timeout", "0.5"]) == 1
+    assert "timed out" in capsys.readouterr().err
+    pid = int(pidfile.read_text())
+    deadline = time.monotonic() + 5
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(pid)

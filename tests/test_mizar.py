@@ -34,12 +34,16 @@ def test_signature_declares_and_looks_up():
     assert sig.lookup("nope") is None
 
 
-def test_membership_is_predeclared():
+def test_membership_is_not_a_signature_entry():
     sig = Signature()
-    assert sig.lookup("in").kind == "pred"
-    assert sig.lookup("in").arity == 2
+    sig.declare("c", "obj")
+    assert sig.lookup("in") is None
     with pytest.raises(DuplicateName):
         sig.declare("in", "pred", 2)
+    c = ObjConst("c")
+    assert well_formed(MStatement((), MIn(c, c)), sig) == []
+    diags = well_formed(MStatement((), PredConstApp("in", (c, c))), sig)
+    assert [d.code for d in diags] == ["unknown-name"]
 
 
 def test_signature_rejects_bad_declarations():

@@ -13,6 +13,7 @@ from mizthf.mizar import (
     MOr, MStatement, Mode, NonAttr, ObjConst, ObjDecl, ObjVar, ParseError,
     PredConstApp, PredDecl, PredVarApp, SET, SourceError, The, UnknownName,
 )
+from mizthf.parser import tokenize
 from mizthf.printer import print_statement
 
 from generators import fuzz_source, random_statement, rich_signature
@@ -48,6 +49,8 @@ def test_parse_signature_roundtrip():
     ("elementof nope", UnknownName),
     ("obj c\nobj c", DuplicateName),
     ("pred in/2", ParseError),  # "in" is a keyword before it is a name
+    ("obj ²x", ParseError),  # "²" is a word character but no word start
+    ("func ١/1", ParseError),
 ])
 def test_parse_signature_errors(line, error):
     with pytest.raises(error) as info:
@@ -55,10 +58,47 @@ def test_parse_signature_errors(line, error):
     assert info.value.line is not None
 
 
+def test_signature_names_follow_the_word_rule():
+    names = ["é", "x²", "_1", "x١"]
+    sig = parse_signature("".join(f"obj {n}\n" for n in names))
+    assert all(sig.lookup(n).kind == "obj" for n in names)
+
+
 def test_signature_error_positions():
     with pytest.raises(ParseError) as info:
         parse_signature("obj c\nfunc bad/x\n")
     assert (info.value.line, info.value.col) == (2, 6)
+
+
+@pytest.mark.parametrize("text,tokens", [
+    # a trailing comment leaves eof where the comment starts
+    ("c1 = c1 # trailing", [("name", "c1", 1, 1), ("sym", "=", 1, 4),
+                            ("name", "c1", 1, 6), ("eof", "", 1, 9)]),
+    ("a\n  # c", [("name", "a", 1, 1), ("eof", "", 2, 3)]),
+    ("é_x2 = y", [("name", "é_x2", 1, 1), ("sym", "=", 1, 6),
+                  ("name", "y", 1, 8), ("eof", "", 1, 9)]),
+    ("x² -> of", [("name", "x²", 1, 1), ("sym", "->", 1, 4),
+                  ("kw", "of", 1, 7), ("eof", "", 1, 9)]),
+    ("a\t\rb ", [("name", "a", 1, 1), ("name", "b", 1, 4),
+                 ("eof", "", 1, 6)]),
+])
+def test_tokenize_positions(text, tokens):
+    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(text)] == tokens
+
+
+@pytest.mark.parametrize("text,char,col", [
+    ("a ²", "²", 3),
+    ("b ١", "١", 3),
+    ("x١ -> -", "-", 7),
+    ("a - b", "-", 3),
+    ("a\x0bb", "\x0b", 2),  # only space, tab and \r are whitespace
+    ("a\xa0b", "\xa0", 2),
+])
+def test_tokenize_stray_characters(text, char, col):
+    with pytest.raises(ParseError) as info:
+        tokenize(text)
+    assert info.value.message == f"stray character {char!r}"
+    assert (info.value.line, info.value.col) == (1, col)
 
 
 SIG = rich_signature()

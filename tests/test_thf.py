@@ -15,6 +15,7 @@ from mizthf.hol import (
     apps, fn,
 )
 from mizthf.thf import MangleTable, UndeclaredConstant, render_type
+from mizthf.thfcheck import _tokenize
 
 i, o = IND, PROP
 
@@ -267,3 +268,32 @@ def test_check_thf_handles_equality_types():
             "thf(c_tp, type, c: $i).\n"
             "thf(goal, conjecture, f = c).\n")
     assert any(d.code == "ill-typed" for d in check_thf(text))
+
+
+@pytest.mark.parametrize("text,tokens", [
+    # a trailing comment leaves eof where the comment starts
+    ("$i % c", [("dollar", "$i", 1, 1), ("eof", "", 1, 4)]),
+    ("a\r\n\tb\x0bc\xa0d", [("word", "a", 1, 1), ("word", "b", 2, 2),
+                             ("word", "c", 2, 4), ("word", "d", 2, 6),
+                             ("eof", "", 2, 7)]),
+    ("p <=> q => r = s", [("word", "p", 1, 1), ("sym", "<=>", 1, 3),
+                          ("word", "q", 1, 7), ("sym", "=>", 1, 9),
+                          ("word", "r", 1, 12), ("sym", "=", 1, 14),
+                          ("word", "s", 1, 16), ("eof", "", 1, 17)]),
+    ("$ $true", [("dollar", "$", 1, 1), ("dollar", "$true", 1, 3),
+                 ("eof", "", 1, 8)]),
+    ("é²", [("word", "é²", 1, 1), ("eof", "", 1, 3)]),
+])
+def test_check_thf_tokens(text, tokens):
+    assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)] == tokens
+
+
+@pytest.mark.parametrize("text,where,char", [
+    ("a < b", "1:3", "<"),
+    ("²", "1:1", "²"),
+    ("x ١", "1:3", "١"),
+    ("A-B", "1:2", "-"),
+])
+def test_check_thf_stray_characters(text, where, char):
+    assert [str(d) for d in check_thf(text)] == [
+        f"{where}: stray character {char!r} [syntax]"]
