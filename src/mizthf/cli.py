@@ -112,17 +112,24 @@ def _assemble(args: argparse.Namespace,
     return thf.assemble_problem(conjecture, axioms, sig, name=name)
 
 
+def _checked_text(problem: thf.Problem) -> str | None:
+    """The problem's THF text, or ``None`` once ``check_thf``'s
+    diagnostics on it are reported."""
+    text = thf.emit_thf(problem)
+    diags = check_thf(text)
+    for d in diags:
+        print(f"emitted problem: {d}", file=sys.stderr)
+    return None if diags else text
+
+
 def cmd_emit(args: argparse.Namespace) -> int:
     sig = _load_signature(args.sig)
     try:
         problem = _assemble(args, sig)
     except SourceError as e:
         return _fail(str(e), 1)
-    text = thf.emit_thf(problem)
-    diags = check_thf(text)
-    if diags:
-        for d in diags:
-            print(f"emitted problem: {d}", file=sys.stderr)
+    text = _checked_text(problem)
+    if text is None:
         return 1
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -157,7 +164,9 @@ def cmd_prove(args: argparse.Namespace) -> int:
         problem = _assemble(args, sig)
     except SourceError as e:
         return _fail(str(e), 1)
-    text = thf.emit_thf(problem)
+    text = _checked_text(problem)
+    if text is None:
+        return 1
     with tempfile.NamedTemporaryFile(
             "w", suffix=".p", delete=False, encoding="utf-8") as handle:
         handle.write(text)
@@ -248,6 +257,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(e), 1)
     except (TranslationError, thf.UndeclaredConstant, hol.HolTypeError) as e:
         return _fail(str(e), 1)
+    except RecursionError:
+        # a nesting no layer bounds yet ran out of Python stack
+        return _fail("input nests too deeply to process", 1)
 
 
 if __name__ == "__main__":

@@ -7,11 +7,19 @@ replacement and separation: its arguments are n nested binder classes,
 a map, and a guard.  ``replSepI_n`` needs sethood of every binder class;
 ``replSepE_n`` inverts membership.  Nothing is asserted when sethood
 fails, so the operators are underspecified there.
+
+Terms are immutable, so the support material is built once per process
+and shared by every problem.  ``gen_replSep_decl`` and
+``gen_replSep_axioms`` are cached on ``n``; the base declarations are
+cached on the Element-of mode's name (``sig.elementof``), not on the
+``Signature``, which ``tag_elementof`` changes in place.
+``base_declarations`` returns a fresh list on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import hol
 from .hol import All, App, Const, Eq, Ex, Imp, IND, Lam, PROP, Var
@@ -71,12 +79,14 @@ def replsep_type(n: int) -> hol.Type:
     return hol.fn(*parts)
 
 
+@cache
 def gen_replSep_decl(n: int) -> Declaration:
-    if n < 1:
-        raise InvalidArity(f"replSep needs at least one binder, got {n}")
-    return Declaration(replsep_name(n), replsep_type(n))
+    """``replSep_n`` with its introduction and elimination axioms."""
+    axioms = gen_replSep_axioms(n)  # raises InvalidArity before n is used
+    return Declaration(replsep_name(n), replsep_type(n), axioms=axioms)
 
 
+@cache
 def gen_replSep_axioms(n: int) -> tuple[tuple[str, hol.Term], tuple[str, hol.Term]]:
     """The introduction and elimination axioms for ``replSep_n``.
 
@@ -128,6 +138,11 @@ def gen_replSep_axioms(n: int) -> tuple[tuple[str, hol.Term], tuple[str, hol.Ter
 def base_declarations(sig: Signature | None = None) -> list[Declaration]:
     """Membership, choice and sethood, plus the Element-of mode (with
     its nonemptiness and sethood axioms) when ``sig`` tags one."""
+    return list(_base_declarations(None if sig is None else sig.elementof))
+
+
+@cache
+def _base_declarations(mode: str | None) -> tuple[Declaration, ...]:
     p = Var("p", hol.fn(IND, PROP))
     x = Var("x", IND)
     y = Var("y", IND)
@@ -146,8 +161,7 @@ def base_declarations(sig: Signature | None = None) -> list[Declaration]:
         Declaration(SETHOOD, SETHOOD_TYPE, definition=sethood_body),
     ]
 
-    if sig is not None and sig.elementof is not None:
-        mode = sig.elementof
+    if mode is not None:
         mode_c = Const(mode, hol.fn(IND, IND, PROP))
         a = Var("A", IND)
         b = Var("B", IND)
@@ -157,4 +171,4 @@ def base_declarations(sig: Signature | None = None) -> list[Declaration]:
         decls.append(Declaration(
             mode, hol.fn(IND, IND, PROP),
             axioms=((f"{mode}_nonempty", nonempty), (f"{mode}_sethood", sh))))
-    return decls
+    return tuple(decls)

@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 
 from . import hol
 from .declarations import (
-    Declaration, SETHOOD, base_declarations, gen_replSep_axioms,
-    gen_replSep_decl,
+    Declaration, SETHOOD, base_declarations, gen_replSep_decl,
 )
 from .hol import (
     All, And, App, Const, Eq, Ex, FnType, Iff, Imp, Lam, Meta, Not, Or,
@@ -64,7 +63,10 @@ def assemble_problem(conjecture: hol.Term,
     """
     occurring: dict[str, hol.Type] = {}
     for term in [conjecture] + [t for _, t in axioms]:
-        for c in sorted(hol.constants(term), key=lambda c: c.name):
+        # a list, not hol.constants' set: hashing each type costs more
+        # than meeting a constant twice
+        consts = [s for s in hol.subterms(term) if isinstance(s, Const)]
+        for c in sorted(consts, key=lambda c: c.name):
             if occurring.get(c.name, c.type) != c.type:
                 raise hol.IllTyped(c.name, occurring[c.name], c.type)
             occurring[c.name] = c.type
@@ -80,9 +82,7 @@ def assemble_problem(conjecture: hol.Term,
         decls.append(base["eps"])
     if fraenkel:
         decls.append(base[SETHOOD])
-    for n in arities:
-        decl = gen_replSep_decl(n)
-        decls.append(replace(decl, axioms=gen_replSep_axioms(n)))
+    decls.extend(map(gen_replSep_decl, arities))
 
     handled = {d.name for d in decls} | {"eps", SETHOOD}
     user: list[Declaration] = []

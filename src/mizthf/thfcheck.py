@@ -7,8 +7,20 @@ emitter produces (type, definition, axiom, conjecture roles; ``$i``,
 outside that subset or ill-typed as diagnostics.  It shares no code
 with the emitter, so a bug must be made twice to slip through.
 
-The lexer is one regular expression with a named group per lexeme;
-whitespace is whatever ``str.isspace`` accepts, ``%`` starts a comment.
+The lexer is one regular expression: each match skips whitespace
+(whatever ``str.isspace`` accepts) and ``%`` comments, then captures
+one token, so ``findall`` yields every token text in one pass and ``""``
+marks the end of input.  The checker works on those texts alone; a
+token's kind follows from its text.  A rejection carries a token index;
+only when a diagnostic is reported does ``_positions`` run the same
+pattern again to find its ``line:col``.
+
+A formula or type may nest at most ``MAX_DEPTH`` levels: each ``(``,
+``~``, bound variable and ``&``, ``|``, ``@`` or ``>`` operator opens one
+level until its group, body or chain ends.  Deeper input gets a
+``too-deep`` diagnostic at the token that crosses the limit, so neither
+the checker nor ``hol.type_of`` runs out of Python stack: at the limit
+a check takes about 410 frames (CPython 3.11) of the default 1000.
 """
 
 from __future__ import annotations
@@ -23,283 +35,326 @@ from .hol import (
 )
 from .mizar import Diagnostic
 
-# One alternative per lexeme, tried in order.  ``\w`` also admits digits
-# and numerals such as "²", which cannot start a word.
-_LEXEME = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<space>[^\S\n]+)
-  | (?P<comment>%[^\n]*)
-  | (?P<word>\w+)
-  | (?P<dollar>\$\w*)
-  | (?P<sym><=>|=>|[()\[\]:,.>@~&|!?^=])
-  | (?P<stray>.)
-""", re.VERBOSE)
+MAX_DEPTH = 200
+
+# Tried in order after the skip.  ``\w`` also admits digits and
+# numerals such as "²", which cannot start a word.  A comment must end
+# at a newline or the end, so no backtracking lets ``.`` into it, and
+# ``\Z`` makes the pattern match at the end: findall never skips text.
+_SYMBOLS = r"<=>|=>|[()\[\]:,.>@~&|!?^=]"
+_LEXEME = re.compile(
+    rf"\s*(?:%[^\n]*(?=\n|\Z)\s*)*(\w+|\$\w*|{_SYMBOLS}|.|\Z)")
+_SYMBOL = re.compile(_SYMBOLS)
+
+_BINDERS = {"!": All, "?": Ex, "^": Lam}
+
+
+def _kind(text: str) -> str:
+    if not text:
+        return "eof"
+    first = text[0]
+    if first == "$":
+        return "dollar"
+    if first.isalpha() or first == "_":
+        return "word"
+    return "sym" if _SYMBOL.fullmatch(text) else "stray"
 
 
 class _Tok(NamedTuple):
-    kind: str  # word, dollar, sym, eof
+    kind: str  # word, dollar, sym, stray, eof
     text: str
     line: int
     col: int
 
-    @property
-    def where(self) -> str:
-        return f"{self.line}:{self.col}"
 
+def _positions(text: str, wanted: set[int]) -> dict[int, tuple[int, int]]:
+    """``(line, col)`` of the tokens with the wanted indices.
 
-class _Reject(Exception):
-    """Abandon the current formula line with one diagnostic."""
-
-    def __init__(self, code: str, message: str, where: str):
-        self.diagnostic = Diagnostic(code, message, where)
-        super().__init__(message)
+    A trailing comment leaves eof where the comment starts.
+    """
+    found: dict[int, tuple[int, int]] = {}
+    line, line_start, seen = 1, 0, 0
+    for k, m in enumerate(_LEXEME.finditer(text)):
+        if k in wanted:
+            start = m.start(1)
+            if not m.group(1):  # eof: before a comment on the last line
+                comment = text.find("%", text.rfind("\n") + 1)
+                start = comment if comment >= 0 else len(text)
+            newlines = text.count("\n", seen, start)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", seen, start) + 1
+            seen = start
+            found[k] = (line, start - line_start + 1)
+            if len(found) == len(wanted):
+                break
+    return found
 
 
 def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, line_start, end = 1, 0, 0
-    for m in _LEXEME.finditer(text):
-        kind = m.lastgroup
-        if kind == "comment":  # runs up to the newline; eof stays before it
-            continue
-        start, end = m.span()
-        if kind == "space":
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = end
-            continue
-        word = m.group()
-        col = start - line_start + 1
-        if kind == "stray" or (kind == "word" and not (
-                word[0].isalpha() or word[0] == "_")):
-            raise _Reject("syntax", f"stray character {word[0]!r}",
-                          f"{line}:{col}")
-        toks.append(_Tok(kind, word, line, col))
-    toks.append(_Tok("eof", "", line, end - line_start + 1))
-    return toks
+    """The tokens of ``text`` up to eof, with their kinds and positions."""
+    toks = _LEXEME.findall(text)
+    del toks[toks.index("") + 1:]
+    where = _positions(text, set(range(len(toks))))
+    return [_Tok(_kind(tok), tok, *where[k]) for k, tok in enumerate(toks)]
+
+
+class _Reject(Exception):
+    """Abandon the current formula line with one diagnostic at the token
+    with index ``at``."""
+
+    def __init__(self, code: str, message: str, at: int):
+        self.code, self.message, self.at = code, message, at
+        super().__init__(message)
+
+
+def _too_deep(at: int) -> _Reject:
+    return _Reject("too-deep", f"nesting deeper than {MAX_DEPTH} levels", at)
 
 
 class _Checker:
-    def __init__(self, toks: list[_Tok]):
+    """Checks a list of token texts; ``""`` is eof.  Each method that
+    rejects a token notes ``self.pos`` before taking it: that is the
+    token's index, eof included, since ``next`` never moves past eof."""
+
+    def __init__(self, toks: list[str]):
         self.toks = toks
+        self.eof = toks.index("")
         self.pos = 0
-        self.diags: list[Diagnostic] = []
+        self.found: list[tuple[str, str, int | None]] = []
         self.decls: dict[str, hol.Type] = {}
         self.formula_names: set[str] = set()
         self.conjectures = 0
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def next(self) -> _Tok:
+    def next(self) -> str:
         tok = self.toks[self.pos]
-        if tok.kind != "eof":
+        if tok:
             self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Tok:
-        tok = self.next()
-        if tok.text != text or tok.kind == "eof":
+    def expect(self, text: str) -> None:
+        at = self.pos
+        tok = self.toks[at]
+        if tok != text:
+            self.next()
             raise _Reject("syntax", f"expected {text!r}, found "
-                          f"{tok.text or 'end of input'!r}", tok.where)
-        return tok
+                          f"{tok or 'end of input'!r}", at)
+        self.pos = at + 1
 
     def skip_line(self) -> None:
-        depth = 0
+        """Move past the next "." outside parentheses, or to eof."""
+        toks, depth, start = self.toks, 0, self.pos
         while True:
-            tok = self.next()
-            if tok.kind == "eof":
+            try:
+                end = toks.index(".", start, self.eof)
+            except ValueError:
+                self.pos = self.eof
                 return
-            if tok.text == "(":
-                depth += 1
-            elif tok.text == ")":
-                depth -= 1
-            elif tok.text == "." and depth <= 0:
+            part = toks[start:end]
+            depth += part.count("(") - part.count(")")
+            start = end + 1
+            if depth <= 0:
+                self.pos = start
                 return
 
     # -------------------------------------------------------- structure
 
-    def run(self) -> list[Diagnostic]:
+    def run(self) -> list[tuple[str, str, int | None]]:
         # first pass collects declarations so formula order is free
         self.pass_over(types_only=True)
-        if not self.diags:
+        if not self.found:
             self.pass_over(types_only=False)
-        if not self.diags and self.conjectures > 1:
-            self.diags.append(Diagnostic(
+        if not self.found and self.conjectures > 1:
+            self.found.append((
                 "conjectures", f"{self.conjectures} conjectures in one "
-                "problem", ""))
-        return self.diags
+                "problem", None))
+        return self.found
 
     def pass_over(self, types_only: bool) -> None:
         self.pos = 0
-        while self.peek().kind != "eof":
+        while self.toks[self.pos]:
             try:
                 self.line(types_only)
             except _Reject as r:
-                self.diags.append(r.diagnostic)
+                self.found.append((r.code, r.message, r.at))
                 self.skip_line()
 
     def line(self, types_only: bool) -> None:
         self.expect("thf")
         self.expect("(")
+        name_at = self.pos
         name = self.next()
-        if name.kind != "word" or not name.text[0].islower():
+        if not name[:1].islower():
             raise _Reject("syntax", "formula name must be a lower word",
-                          name.where)
+                          name_at)
         self.expect(",")
+        role_at = self.pos
         role = self.next()
-        if role.text not in ("type", "axiom", "definition", "conjecture"):
-            raise _Reject("role", f"unsupported role {role.text!r}",
-                          role.where)
+        if role not in ("type", "axiom", "definition", "conjecture"):
+            raise _Reject("role", f"unsupported role {role!r}", role_at)
         self.expect(",")
         if types_only:
-            if name.text in self.formula_names:
-                raise _Reject("duplicate", f"formula name {name.text!r} "
-                              "reused", name.where)
-            self.formula_names.add(name.text)
-            if role.text == "type":
+            if name in self.formula_names:
+                raise _Reject("duplicate", f"formula name {name!r} "
+                              "reused", name_at)
+            self.formula_names.add(name)
+            if role == "type":
                 self.type_line()
             else:
                 self.skip_line()
                 return
         else:
-            if role.text == "type":
+            if role == "type":
                 self.skip_line()
                 return
-            if role.text == "conjecture":
+            if role == "conjecture":
                 self.conjectures += 1
-            formula = self.formula({})
-            ty = self.check_type(formula, role)
+            formula = self.formula({}, 0)
+            try:
+                ty = hol.type_of(formula, self.decls)
+            except hol.HolTypeError as e:
+                raise _Reject("ill-typed", str(e), role_at) from None
             if ty != PROP:
-                raise _Reject("ill-typed", f"{role.text} {name.text!r} has "
-                              f"type {ty}, wanted o", name.where)
+                raise _Reject("ill-typed", f"{role} {name!r} has "
+                              f"type {ty}, wanted o", name_at)
         self.expect(")")
         self.expect(".")
 
-    def check_type(self, formula: hol.Term, role: _Tok) -> hol.Type:
-        try:
-            return hol.type_of(formula, self.decls)
-        except hol.HolTypeError as e:
-            raise _Reject("ill-typed", str(e), role.where) from None
-
     def type_line(self) -> None:
+        at = self.pos
         cname = self.next()
-        if cname.kind != "word" or not cname.text[0].islower():
+        if not cname[:1].islower():
             raise _Reject("syntax", "constant name must be a lower word",
-                          cname.where)
+                          at)
         self.expect(":")
-        ty = self.type()
-        if cname.text in self.decls:
-            raise _Reject("duplicate", f"constant {cname.text!r} declared "
-                          "twice", cname.where)
-        self.decls[cname.text] = ty
+        ty = self.type(0)
+        if cname in self.decls:
+            raise _Reject("duplicate", f"constant {cname!r} declared "
+                          "twice", at)
+        self.decls[cname] = ty
 
-    def type(self) -> hol.Type:
-        parts = [self.type_atom()]
-        while self.peek().text == ">":
+    def type(self, depth: int) -> hol.Type:
+        parts = [self.type_atom(depth)]
+        while self.toks[self.pos] == ">":
+            if depth + len(parts) > MAX_DEPTH:
+                raise _too_deep(self.pos)
             self.next()
-            parts.append(self.type_atom())
+            parts.append(self.type_atom(depth + len(parts)))
         ty = parts[-1]
         for dom in reversed(parts[:-1]):
             ty = FnType(dom, ty)
         return ty
 
-    def type_atom(self) -> hol.Type:
+    def type_atom(self, depth: int) -> hol.Type:
+        at = self.pos
         tok = self.next()
-        if tok.text == "$i":
+        if tok == "$i":
             return IND
-        if tok.text == "$o":
+        if tok == "$o":
             return PROP
-        if tok.text == "(":
-            ty = self.type()
+        if tok == "(":
+            if depth >= MAX_DEPTH:
+                raise _too_deep(at)
+            ty = self.type(depth + 1)
             self.expect(")")
             return ty
-        raise _Reject("syntax", f"expected a type, found {tok.text!r}",
-                      tok.where)
+        raise _Reject("syntax", f"expected a type, found {tok!r}", at)
 
     # --------------------------------------------------------- formulas
 
-    def formula(self, env: dict[str, hol.Type]) -> hol.Term:
-        first = self.unit(env)
-        op = self.peek()
-        if op.text == "@":
-            term = first
-            while self.peek().text == "@":
-                self.next()
-                term = App(term, self.unit(env))
-            self.no_more_ops(op)
-            return term
-        if op.text in ("&", "|"):
+    def formula(self, env: dict[str, hol.Type], depth: int) -> hol.Term:
+        first = self.unit(env, depth)
+        op_at = self.pos
+        op = self.toks[op_at]
+        if op in ("@", "&", "|"):
             parts = [first]
-            while self.peek().text == op.text:
+            while self.toks[self.pos] == op:
+                if depth + len(parts) > MAX_DEPTH:
+                    raise _too_deep(self.pos)
                 self.next()
-                parts.append(self.unit(env))
+                parts.append(self.unit(env, depth + len(parts)))
             self.no_more_ops(op)
-            ctor = And if op.text == "&" else Or
+            if op == "@":
+                term = first
+                for arg in parts[1:]:
+                    term = App(term, arg)
+                return term
+            ctor = And if op == "&" else Or
             term = parts[-1]
             for part in reversed(parts[:-1]):
                 term = ctor(part, term)
             return term
-        if op.text in ("=>", "<=>", "="):
+        if op in ("=>", "<=>", "="):
             self.next()
-            second = self.unit(env)
+            second = self.unit(env, depth)
             self.no_more_ops(op)
-            if op.text == "=>":
+            if op == "=>":
                 return Imp(first, second)
-            if op.text == "<=>":
+            if op == "<=>":
                 return Iff(first, second)
             try:
                 at = hol.type_of(first, {**self.decls, **env})
             except hol.HolTypeError as e:
-                raise _Reject("ill-typed", str(e), op.where) from None
+                raise _Reject("ill-typed", str(e), op_at) from None
             return Eq(first, second, at)
         return first
 
-    def no_more_ops(self, opened: _Tok) -> None:
-        tok = self.peek()
-        if tok.text in ("@", "&", "|", "=>", "<=>", "="):
-            raise _Reject("syntax", f"mixed operators {opened.text!r} and "
-                          f"{tok.text!r} need parentheses", tok.where)
+    def no_more_ops(self, opened: str) -> None:
+        tok = self.toks[self.pos]
+        if tok in ("@", "&", "|", "=>", "<=>", "="):
+            raise _Reject("syntax", f"mixed operators {opened!r} and "
+                          f"{tok!r} need parentheses", self.pos)
 
-    def unit(self, env: dict[str, hol.Type]) -> hol.Term:
-        tok = self.next()
-        if tok.text == "(":
-            term = self.formula(env)
+    def unit(self, env: dict[str, hol.Type], depth: int) -> hol.Term:
+        at = self.pos
+        tok = self.toks[at]
+        if tok:  # self.next(), inlined on the hottest path
+            self.pos = at + 1
+        if tok == "(":
+            if depth >= MAX_DEPTH:
+                raise _too_deep(at)
+            term = self.formula(env, depth + 1)
             self.expect(")")
             return term
-        if tok.text == "~":
-            return Not(self.unit(env))
-        if tok.text in ("!", "?", "^"):
-            return self.binder(tok.text, env)
-        if tok.text == "$true":
+        if tok == "~":
+            if depth >= MAX_DEPTH:
+                raise _too_deep(at)
+            return Not(self.unit(env, depth + 1))
+        if tok in _BINDERS:
+            return self.binder(tok, env, depth)
+        if tok == "$true":
             return TOP
-        if tok.kind == "word":
-            if tok.text[0].islower():
-                ty = self.decls.get(tok.text)
+        if _kind(tok) == "word":
+            if tok[0].islower():
+                ty = self.decls.get(tok)
                 if ty is None:
-                    raise _Reject("undeclared", f"constant {tok.text!r} has "
-                                  "no type declaration", tok.where)
-                return Const(tok.text, ty)
-            ty = env.get(tok.text)
+                    raise _Reject("undeclared", f"constant {tok!r} has "
+                                  "no type declaration", at)
+                return Const(tok, ty)
+            ty = env.get(tok)
             if ty is None:
-                raise _Reject("unbound", f"variable {tok.text!r} is not "
-                              "bound here", tok.where)
-            return Var(tok.text, ty)
+                raise _Reject("unbound", f"variable {tok!r} is not "
+                              "bound here", at)
+            return Var(tok, ty)
         raise _Reject("syntax", f"expected a formula, found "
-                      f"{tok.text or 'end of input'!r}", tok.where)
+                      f"{tok or 'end of input'!r}", at)
 
-    def binder(self, quant: str, env: dict[str, hol.Type]) -> hol.Term:
+    def binder(self, quant: str, env: dict[str, hol.Type],
+               depth: int) -> hol.Term:
         self.expect("[")
         binders: list[tuple[str, hol.Type]] = []
         while True:
+            at = self.pos
             v = self.next()
-            if v.kind != "word" or not v.text[0].isupper():
+            if not v[:1].isupper():
                 raise _Reject("syntax", "bound variable must be an upper "
-                              "word", v.where)
+                              "word", at)
+            if depth >= MAX_DEPTH:
+                raise _too_deep(at)
+            depth += 1
             self.expect(":")
-            binders.append((v.text, self.type()))
-            if self.peek().text == ",":
+            binders.append((v, self.type(depth)))
+            if self.toks[self.pos] == ",":
                 self.next()
                 continue
             break
@@ -307,8 +362,8 @@ class _Checker:
         self.expect(":")
         inner = dict(env)
         inner.update(binders)
-        body = self.unit(inner)
-        ctor = {"!": All, "?": Ex, "^": Lam}[quant]
+        body = self.unit(inner, depth)
+        ctor = _BINDERS[quant]
         for v, ty in reversed(binders):
             body = ctor(v, ty, body)
         return body
@@ -316,8 +371,16 @@ class _Checker:
 
 def check_thf(text: str) -> list[Diagnostic]:
     """Diagnostics for ``text``; empty means it conforms and type-checks."""
-    try:
-        toks = _tokenize(text)
-    except _Reject as r:
-        return [r.diagnostic]
-    return _Checker(toks).run()
+    toks = _LEXEME.findall(text)
+    strays = [tok for tok in set(toks) if _kind(tok) == "stray"]
+    if strays:
+        at = min(map(toks.index, strays))
+        found = [("syntax", f"stray character {toks[at][0]!r}", at)]
+    else:
+        found = _Checker(toks).run()
+    if not found:
+        return []
+    where = _positions(text, {at for _, _, at in found if at is not None})
+    return [Diagnostic(code, message,
+                       "" if at is None else "%d:%d" % where[at])
+            for code, message, at in found]

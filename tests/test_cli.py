@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import re
 import stat
 import time
 from pathlib import Path
 
 import pytest
 
-from mizthf import check_thf
+from mizthf import check_thf, thf
 from mizthf.cli import main
 
 
@@ -76,6 +77,32 @@ def test_emit_rejects_overdeep_comprehension(tmp_path, sig, capsys):
     assert main(["emit", str(src), "--sig", sig]) == 1
     assert "binder" in capsys.readouterr().err
     assert main(["emit", str(src), "--sig", sig, "--max-arity", "9"]) == 0
+
+
+def test_emit_reports_an_overdeep_problem(tmp_path, sig, capsys):
+    # 500 conjuncts emit as 500 nested parentheses
+    src = tmp_path / "long.mst"
+    src.write_text("statement : " + " & ".join(["c1 = c1"] * 500) + "\n")
+    assert main(["emit", str(src), "--sig", sig]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"emitted problem: \d+:\d+: .* \[too-deep\]\n",
+                        captured.err)
+
+
+@pytest.mark.parametrize("body", [
+    "not " * 2000 + "c1 = c1",
+    " implies ".join(["c1 = c1"] * 1500),
+])
+@pytest.mark.parametrize("command", ["check", "translate", "emit"])
+def test_deep_input_is_one_line_not_a_traceback(tmp_path, sig, capsys,
+                                                command, body):
+    src = tmp_path / "deep.mst"
+    src.write_text(f"statement : {body}\n")
+    assert main([command, str(src), "--sig", sig]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_match_replacement(sig, corpus_files, capsys):
@@ -168,6 +195,22 @@ def test_prove_reads_szs_status(tmp_path, sig, corpus_files, capsys):
     problems = seen.read_text().split()
     assert len(problems) == 2
     assert not any(Path(p).exists() for p in problems)
+
+
+def test_prove_checks_the_problem_before_the_prover(
+        tmp_path, sig, corpus_files, capsys, monkeypatch):
+    conj = next(p for p in corpus_files if p.stem == "eq_triv")
+    seen = tmp_path / "seen"
+    prover = fake_prover(tmp_path, "recording", f'echo "$1" >> {seen}')
+    monkeypatch.setattr(thf, "emit_thf", lambda problem: (
+        "thf(c_tp, type, c: $i).\nthf(goal, conjecture, c).\n"))
+    assert main(["prove", str(conj), "--sig", sig,
+                 "--prover", prover]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("emitted problem: 2:")
+    assert "[ill-typed]" in captured.err
+    assert not seen.exists()
 
 
 def test_prove_timeout_and_missing_prover(tmp_path, sig, corpus_files,

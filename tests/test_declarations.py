@@ -182,3 +182,30 @@ def test_all_base_declarations_type_check():
             assert type_of(d.definition, ctx) == d.type
         for _, ax in d.axioms:
             assert type_of(ax, ctx) == o
+
+
+# ------------------------------------------------- cached support material
+
+
+def test_base_declarations_follow_a_later_elementof_tag():
+    sig = Signature()
+    sig.declare("m1_subset_1", "mode", 2)
+    assert "m1_subset_1" not in _decl_map(sig)
+    sig.tag_elementof("m1_subset_1")
+    mode = _decl_map(sig)["m1_subset_1"]
+    assert [name for name, _ in mode.axioms] == [
+        "m1_subset_1_nonempty", "m1_subset_1_sethood"]
+
+
+def test_base_declarations_return_a_fresh_list():
+    first = base_declarations()
+    names = [d.name for d in first]
+    first.clear()
+    first.append(gen_replSep_decl(1))
+    assert [d.name for d in base_declarations()] == names
+
+
+def test_replsep_material_is_built_once():
+    assert gen_replSep_axioms(2) is gen_replSep_axioms(2)
+    assert gen_replSep_decl(2) is gen_replSep_decl(2)
+    assert gen_replSep_decl(2).axioms is gen_replSep_axioms(2)

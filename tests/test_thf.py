@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from mizthf import (
@@ -15,7 +17,9 @@ from mizthf.hol import (
     apps, fn,
 )
 from mizthf.thf import MangleTable, UndeclaredConstant, render_type
-from mizthf.thfcheck import _tokenize
+from mizthf.thfcheck import MAX_DEPTH, _tokenize
+
+from generators import random_statement, rich_signature
 
 i, o = IND, PROP
 
@@ -297,3 +301,91 @@ def test_check_thf_tokens(text, tokens):
 def test_check_thf_stray_characters(text, where, char):
     assert [str(d) for d in check_thf(text)] == [
         f"{where}: stray character {char!r} [syntax]"]
+
+
+# ------------------------------------------------------- nesting and fuzz
+
+DECLS = ("thf(c_tp, type, c: $i).\n"
+         "thf(f_tp, type, f: $i > $i).\n"
+         "thf(p_tp, type, p: $i > $o).\n")
+GOAL = "thf(goal, conjecture, "
+
+
+def nest(construct: str, n: int) -> tuple[str, str]:
+    """A problem that nests ``n`` levels, the innermost of them made of
+    ``construct``, and the ``line:col`` of the n-th level's token."""
+    if construct == "(":
+        return DECLS + GOAL + "(" * n + "$true" + ")" * n + ").", f"4:{22 + n}"
+    if construct == "~":
+        return DECLS + GOAL + "~ " * n + "$true).", f"4:{21 + 2 * n}"
+    if construct == "!":
+        binders = ", ".join(f"X{k:03}: $i" for k in range(n))
+        return DECLS + GOAL + f"! [{binders}] : $true).", f"4:{16 + 10 * n}"
+    if construct == "&":
+        return (DECLS + GOAL + " & ".join(["$true"] * (n + 1)) + ").",
+                f"4:{21 + 8 * n}")
+    if construct == "@":  # 100 arguments inside n - 100 parentheses
+        k = n - 100
+        return (DECLS + "thf(g_tp, type, g: " + "$i > " * 100 + "$o).\n"
+                + GOAL + "(" * k + "g" + " @ c" * 100 + ")" * k + ")."), \
+            f"5:{321 + n}"
+    assert construct == ">"
+    return "thf(g_tp, type, g: " + "$i > " * n + "$o).", f"1:{18 + 5 * n}"
+
+
+@pytest.mark.parametrize("construct", ["(", "~", "!", "&", "@", ">"])
+def test_check_thf_nesting_limit(construct):
+    text, _ = nest(construct, MAX_DEPTH)
+    assert check_thf(text) == []
+    text, where = nest(construct, MAX_DEPTH + 1)
+    assert [str(d) for d in check_thf(text)] == [
+        f"{where}: nesting deeper than {MAX_DEPTH} levels [too-deep]"]
+
+
+def test_check_thf_limit_counts_mixed_nesting():
+    half = MAX_DEPTH // 2
+    body = "~ (" * half + "$true" + ")" * half
+    assert check_thf(DECLS + GOAL + body + ").") == []
+    diags = check_thf(DECLS + GOAL + "! [X: $i] : " + body + ").")
+    assert [d.code for d in diags] == ["too-deep"]
+
+
+def _where_is_inside(where: str, text: str) -> bool:
+    line, col = map(int, where.split(":"))
+    lines = text.split("\n")
+    return 1 <= line <= len(lines) and 1 <= col <= len(lines[line - 1]) + 1
+
+
+EDGE = list("abXY_$%()[]:,.>@~&|!?^=<- \t\n") + [
+    "²", "١", "é", "\x0b", "\xa0", "\r", "=>", "<=>", "$i", "$o", "$true",
+    "thf(", "type", "axiom", "conjecture"]
+
+
+def test_check_thf_never_raises():
+    rng = random.Random(2024)
+    sig = rich_signature()
+    problems = [emit_thf(assemble_problem(
+        translate_statement(random_statement(rng), sig), [], sig))
+        for _ in range(20)]
+    texts = []
+    for _ in range(1200):  # one to four character edits
+        chars = list(rng.choice(problems))
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randrange(len(chars) + 1)
+            if rng.random() < 0.5 and at < len(chars):
+                del chars[at]
+            else:
+                chars.insert(at, rng.choice(EDGE))
+        texts.append("".join(chars))
+    for _ in range(700):
+        texts.append("".join(rng.choice(EDGE)
+                             for _ in range(rng.randint(0, 80))))
+    for _ in range(100):
+        opener = rng.choice(["(", "~ ", "! [X: $i] : ", "(c = ", "p @ "])
+        n = rng.choice([MAX_DEPTH, MAX_DEPTH + 1, 1000, 5000])
+        texts.append(DECLS + GOAL + opener * n + "c" + ")" * n + ").")
+    for text in texts:
+        diags = check_thf(text)
+        assert isinstance(diags, list)
+        for d in diags:
+            assert not d.where or _where_is_inside(d.where, text), (d, text)
