@@ -305,8 +305,10 @@ def subterms(t: Term) -> Iterator[Term]:
         stack.extend(reversed(children(t)))
 
 
-def constants(t: Term) -> set[Const]:
-    return {s for s in subterms(t) if isinstance(s, Const)}
+def constants(t: Term) -> list[Const]:
+    """Every constant occurrence, preorder; a constant may repeat (hashing
+    each one's type costs more than meeting it twice)."""
+    return [s for s in subterms(t) if isinstance(s, Const)]
 
 
 def metas(t: Term) -> set[Meta]:

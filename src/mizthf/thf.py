@@ -63,10 +63,7 @@ def assemble_problem(conjecture: hol.Term,
     """
     occurring: dict[str, hol.Type] = {}
     for term in [conjecture] + [t for _, t in axioms]:
-        # a list, not hol.constants' set: hashing each type costs more
-        # than meeting a constant twice
-        consts = [s for s in hol.subterms(term) if isinstance(s, Const)]
-        for c in sorted(consts, key=lambda c: c.name):
+        for c in sorted(hol.constants(term), key=lambda c: c.name):
             if occurring.get(c.name, c.type) != c.type:
                 raise hol.IllTyped(c.name, occurring[c.name], c.type)
             occurring[c.name] = c.type

@@ -8,24 +8,34 @@ outside that subset or ill-typed as diagnostics.  It shares no code
 with the emitter, so a bug must be made twice to slip through.
 
 The lexer is one regular expression: each match skips whitespace
-(whatever ``str.isspace`` accepts) and ``%`` comments, then captures
-one token, so ``findall`` yields every token text in one pass and ``""``
-marks the end of input.  The checker works on those texts alone; a
-token's kind follows from its text.  A rejection carries a token index;
-only when a diagnostic is reported does ``_positions`` run the same
-pattern again to find its ``line:col``.
+(whatever ``str.isspace`` accepts) and ``%`` comments that end in a
+newline, then captures one token, so ``findall`` yields every token text
+in one pass.  ``""`` is the end of input, at the end of the text or
+where a comment on the last line starts.  The checker works on those
+texts alone; a token's kind follows from its text.  A rejection carries
+a token index; only when a diagnostic is reported does ``_positions``
+run the same pattern again to find its ``line:col``.
 
-A formula or type may nest at most ``MAX_DEPTH`` levels: each ``(``,
-``~``, bound variable and ``&``, ``|``, ``@`` or ``>`` operator opens one
-level until its group, body or chain ends.  Deeper input gets a
-``too-deep`` diagnostic at the token that crosses the limit, so neither
-the checker nor ``hol.type_of`` runs out of Python stack: at the limit
-a check takes about 410 frames (CPython 3.11) of the default 1000.
+A formula or type may nest at most ``MAX_DEPTH`` levels.  A level is
+one ``(``, ``~`` or bound variable, or one link of an ``&``, ``|``,
+``@`` or ``>`` chain; an operand of a chain sits on its link's level,
+so the emitter's right-nested ``(a) & ((b) & (...))`` costs one level
+per conjunct.  Every level but a ``>`` link costs the checker or
+``hol.type_of`` at least one Python frame, so a limit equal to the
+default recursion limit refuses nothing that a default stack could
+check; a ``>`` chain counts because comparing or printing a type
+recurses once per arrow.  Within the limit a check takes at most
+``_STACK_ROOM`` frames, and ``check_thf`` raises the recursion limit by
+that much while it runs.  Deeper input gets a ``too-deep`` diagnostic at
+the token that crosses the limit, so a check never raises
+``RecursionError``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+import threading
 from typing import NamedTuple
 
 from . import hol
@@ -35,15 +45,21 @@ from .hol import (
 )
 from .mizar import Diagnostic
 
-MAX_DEPTH = 200
+MAX_DEPTH = 1000
+# The most Python frames a check takes (CPython 3.11): five a level when a message
+# prints a type of MAX_DEPTH arrows below MAX_DEPTH parentheses, three
+# per arrow and two per parenthesis, plus the checker's own calls
+_STACK_ROOM = 5 * MAX_DEPTH + 50
+# the recursion limit is per process: one check at a time changes it
+_STACK_LOCK = threading.Lock()
 
 # Tried in order after the skip.  ``\w`` also admits digits and
-# numerals such as "²", which cannot start a word.  A comment must end
-# at a newline or the end, so no backtracking lets ``.`` into it, and
-# ``\Z`` makes the pattern match at the end: findall never skips text.
+# numerals such as "²", which cannot start a word.  A "%" the skip leaves
+# starts a comment with no newline after it, so eof is there; ``\Z`` makes
+# the pattern match at the end, so findall never skips text.
 _SYMBOLS = r"<=>|=>|[()\[\]:,.>@~&|!?^=]"
 _LEXEME = re.compile(
-    rf"\s*(?:%[^\n]*(?=\n|\Z)\s*)*(\w+|\$\w*|{_SYMBOLS}|.|\Z)")
+    rf"\s*(?:%[^\n]*\n\s*)*(\w+|\$\w*|{_SYMBOLS}|(?=%)|.|\Z)")
 _SYMBOL = re.compile(_SYMBOLS)
 
 _BINDERS = {"!": All, "?": Ex, "^": Lam}
@@ -68,18 +84,12 @@ class _Tok(NamedTuple):
 
 
 def _positions(text: str, wanted: set[int]) -> dict[int, tuple[int, int]]:
-    """``(line, col)`` of the tokens with the wanted indices.
-
-    A trailing comment leaves eof where the comment starts.
-    """
+    """``(line, col)`` of the tokens with the wanted indices."""
     found: dict[int, tuple[int, int]] = {}
     line, line_start, seen = 1, 0, 0
     for k, m in enumerate(_LEXEME.finditer(text)):
         if k in wanted:
             start = m.start(1)
-            if not m.group(1):  # eof: before a comment on the last line
-                comment = text.find("%", text.rfind("\n") + 1)
-                start = comment if comment >= 0 else len(text)
             newlines = text.count("\n", seen, start)
             if newlines:
                 line += newlines
@@ -91,10 +101,17 @@ def _positions(text: str, wanted: set[int]) -> dict[int, tuple[int, int]]:
     return found
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    """The tokens of ``text`` up to eof, with their kinds and positions."""
+def _texts(text: str) -> list[str]:
+    """The token texts of ``text`` up to eof, ``""``, which ends the list.
+    A comment on the last line is lexed past eof, so it is cut off."""
     toks = _LEXEME.findall(text)
     del toks[toks.index("") + 1:]
+    return toks
+
+
+def _tokenize(text: str) -> list[_Tok]:
+    """The tokens of ``text`` up to eof, with their kinds and positions."""
+    toks = _texts(text)
     where = _positions(text, set(range(len(toks))))
     return [_Tok(_kind(tok), tok, *where[k]) for k, tok in enumerate(toks)]
 
@@ -119,7 +136,7 @@ class _Checker:
 
     def __init__(self, toks: list[str]):
         self.toks = toks
-        self.eof = toks.index("")
+        self.eof = len(toks) - 1  # the final ""
         self.pos = 0
         self.found: list[tuple[str, str, int | None]] = []
         self.decls: dict[str, hol.Type] = {}
@@ -236,10 +253,12 @@ class _Checker:
     def type(self, depth: int) -> hol.Type:
         parts = [self.type_atom(depth)]
         while self.toks[self.pos] == ">":
-            if depth + len(parts) > MAX_DEPTH:
+            level = depth + len(parts)
+            if level > MAX_DEPTH:
                 raise _too_deep(self.pos)
             self.next()
-            parts.append(self.type_atom(depth + len(parts)))
+            # an operand's "(" opens its link's level, not another
+            parts.append(self.type_atom(level - 1))
         ty = parts[-1]
         for dom in reversed(parts[:-1]):
             ty = FnType(dom, ty)
@@ -269,10 +288,13 @@ class _Checker:
         if op in ("@", "&", "|"):
             parts = [first]
             while self.toks[self.pos] == op:
-                if depth + len(parts) > MAX_DEPTH:
+                level = depth + len(parts)
+                if level > MAX_DEPTH:
                     raise _too_deep(self.pos)
                 self.next()
-                parts.append(self.unit(env, depth + len(parts)))
+                # an operand's "(", "~" or first bound variable opens its
+                # link's level, not another
+                parts.append(self.unit(env, level - 1))
             self.no_more_ops(op)
             if op == "@":
                 term = first
@@ -371,13 +393,19 @@ class _Checker:
 
 def check_thf(text: str) -> list[Diagnostic]:
     """Diagnostics for ``text``; empty means it conforms and type-checks."""
-    toks = _LEXEME.findall(text)
+    toks = _texts(text)
     strays = [tok for tok in set(toks) if _kind(tok) == "stray"]
     if strays:
         at = min(map(toks.index, strays))
         found = [("syntax", f"stray character {toks[at][0]!r}", at)]
     else:
-        found = _Checker(toks).run()
+        with _STACK_LOCK:
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(limit + _STACK_ROOM)
+            try:
+                found = _Checker(toks).run()
+            finally:
+                sys.setrecursionlimit(limit)
     if not found:
         return []
     where = _positions(text, {at for _, _, at in found if at is not None})

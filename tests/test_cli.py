@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 import stat
 import time
 from pathlib import Path
@@ -11,6 +10,7 @@ import pytest
 
 from mizthf import check_thf, thf
 from mizthf.cli import main
+from mizthf.thfcheck import MAX_DEPTH
 
 
 def sig_path(corpus_files) -> str:
@@ -79,15 +79,29 @@ def test_emit_rejects_overdeep_comprehension(tmp_path, sig, capsys):
     assert main(["emit", str(src), "--sig", sig, "--max-arity", "9"]) == 0
 
 
-def test_emit_reports_an_overdeep_problem(tmp_path, sig, capsys):
-    # 500 conjuncts emit as 500 nested parentheses
+@pytest.mark.parametrize("conjuncts", [300, 500])
+def test_emit_checks_long_chains(tmp_path, sig, capsys, conjuncts):
+    # n conjuncts emit as n nested parentheses, one checker level each
     src = tmp_path / "long.mst"
-    src.write_text("statement : " + " & ".join(["c1 = c1"] * 500) + "\n")
-    assert main(["emit", str(src), "--sig", sig]) == 1
+    src.write_text("statement : " + " & ".join(["c1 = c1"] * conjuncts)
+                   + "\n")
+    assert main(["emit", str(src), "--sig", sig]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert check_thf(captured.out) == []
+
+
+def test_emit_reports_an_overdeep_problem(tmp_path, sig, corpus_files,
+                                          capsys, monkeypatch):
+    conj = next(p for p in corpus_files if p.stem == "eq_triv")
+    n = MAX_DEPTH + 1
+    monkeypatch.setattr(thf, "emit_thf", lambda problem: (
+        "thf(goal, conjecture, " + "(" * n + "$true" + ")" * n + ").\n"))
+    assert main(["emit", str(conj), "--sig", sig]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"emitted problem: \d+:\d+: .* \[too-deep\]\n",
-                        captured.err)
+    assert captured.err == (f"emitted problem: 1:{22 + n}: nesting deeper "
+                            f"than {MAX_DEPTH} levels [too-deep]\n")
 
 
 @pytest.mark.parametrize("body", [

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -319,8 +321,8 @@ def nest(construct: str, n: int) -> tuple[str, str]:
     if construct == "~":
         return DECLS + GOAL + "~ " * n + "$true).", f"4:{21 + 2 * n}"
     if construct == "!":
-        binders = ", ".join(f"X{k:03}: $i" for k in range(n))
-        return DECLS + GOAL + f"! [{binders}] : $true).", f"4:{16 + 10 * n}"
+        binders = ", ".join(f"X{k:04}: $i" for k in range(n))
+        return DECLS + GOAL + f"! [{binders}] : $true).", f"4:{15 + 11 * n}"
     if construct == "&":
         return (DECLS + GOAL + " & ".join(["$true"] * (n + 1)) + ").",
                 f"4:{21 + 8 * n}")
@@ -335,11 +337,52 @@ def nest(construct: str, n: int) -> tuple[str, str]:
 
 @pytest.mark.parametrize("construct", ["(", "~", "!", "&", "@", ">"])
 def test_check_thf_nesting_limit(construct):
+    limit = sys.getrecursionlimit()
     text, _ = nest(construct, MAX_DEPTH)
     assert check_thf(text) == []
     text, where = nest(construct, MAX_DEPTH + 1)
     assert [str(d) for d in check_thf(text)] == [
         f"{where}: nesting deeper than {MAX_DEPTH} levels [too-deep]"]
+    assert sys.getrecursionlimit() == limit
+
+
+def test_check_thf_chain_costs_one_level_a_link():
+    # the emitter's right-nested chain: each link's operand is a "(",
+    # on the link's level; the innermost "(c = c)" opens one more
+    def chain(links: int) -> str:
+        return (DECLS + GOAL + "(c = c) & (" * links + "(c = c)"
+                + ")" * links + ").")
+    assert check_thf(chain(MAX_DEPTH - 1)) == []
+    diags = check_thf(chain(MAX_DEPTH))
+    assert [(d.code, d.where) for d in diags] == [
+        ("too-deep", f"4:{22 + 11 * MAX_DEPTH + 1}")]
+
+
+def test_check_thf_deep_checks_in_threads():
+    # each check needs the recursion limit raised until it returns
+    text, _ = nest("(", MAX_DEPTH)
+    limit, interval = sys.getrecursionlimit(), sys.getswitchinterval()
+    results: list[object] = []
+
+    def work() -> None:
+        for _ in range(10):
+            try:
+                results.append(check_thf(text))
+            except RecursionError as e:
+                results.append(e)
+
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[]] * 60
+    assert sys.getrecursionlimit() == limit
 
 
 def test_check_thf_limit_counts_mixed_nesting():
@@ -382,7 +425,7 @@ def test_check_thf_never_raises():
                              for _ in range(rng.randint(0, 80))))
     for _ in range(100):
         opener = rng.choice(["(", "~ ", "! [X: $i] : ", "(c = ", "p @ "])
-        n = rng.choice([MAX_DEPTH, MAX_DEPTH + 1, 1000, 5000])
+        n = rng.choice([MAX_DEPTH, MAX_DEPTH + 1, 2 * MAX_DEPTH, 5000])
         texts.append(DECLS + GOAL + opener * n + "c" + ")" * n + ").")
     for text in texts:
         diags = check_thf(text)
