@@ -20,6 +20,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import hol, thf
 from .mizar import MStatement, Signature, SourceError, well_formed
@@ -27,6 +28,8 @@ from .parser import parse_signature, parse_statement
 from .patterns import MatchError, recover_scheme_instantiation
 from .thfcheck import check_thf
 from .translate import TranslationError, translate_statement
+
+_T = TypeVar("_T")
 
 
 def _fail(message: str, code: int) -> int:
@@ -38,18 +41,34 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_signature(path: str) -> Signature:
-    return parse_signature(_read(path))
+def _load(path: str, parse: Callable[..., _T], *args: object) -> _T:
+    """``parse`` run on the text of ``path``; a ``SourceError`` it raises
+    learns the path."""
+    try:
+        return parse(_read(path), *args)
+    except SourceError as e:
+        e.path = path
+        raise
 
 
-def _load_statement(path: str, sig: Signature) -> MStatement:
-    return parse_statement(_read(path), sig)
+def _well_formed_statement(text: str, sig: Signature) -> MStatement:
+    statement = parse_statement(text, sig)
+    diags = well_formed(statement, sig)
+    if diags:
+        raise SourceError("; ".join(str(d) for d in diags))
+    return statement
 
 
-def _positioned(path: str, err: SourceError) -> str:
-    if err.line is not None:
-        return f"{path}:{err.line}:{err.col}: {err}"
-    return f"{path}: {err}"
+def _positioned(err: SourceError) -> str:
+    where = [str(p) for p in (err.path, err.line, err.col) if p is not None]
+    return f"{':'.join(where)}: {err}" if where else str(err)
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a count of 0 or more, got {text!r}")
+    return int(text)
 
 
 def _axiom_name(path: str, statement: MStatement, taken: set[str]) -> str:
@@ -63,13 +82,13 @@ def _axiom_name(path: str, statement: MStatement, taken: set[str]) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    sig = _load_signature(args.sig)
+    sig = _load(args.sig, parse_signature)
     status = 0
     for path in args.files:
         try:
-            statement = _load_statement(path, sig)
+            statement = _load(path, parse_statement, sig)
         except SourceError as e:
-            print(_positioned(path, e), file=sys.stderr)
+            print(_positioned(e), file=sys.stderr)
             status = 1
             continue
         diags = well_formed(statement, sig)
@@ -82,26 +101,20 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _translate_file(path: str, sig: Signature,
                     max_arity: int) -> tuple[MStatement, hol.Term]:
-    statement = _load_statement(path, sig)
-    diags = well_formed(statement, sig)
-    if diags:
-        raise SourceError("; ".join(str(d) for d in diags))
+    statement = _load(path, _well_formed_statement, sig)
     return statement, translate_statement(statement, sig,
                                           max_arity=max_arity)
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
-    sig = _load_signature(args.sig)
-    try:
-        _, term = _translate_file(args.file, sig, args.max_arity)
-    except SourceError as e:
-        return _fail(_positioned(args.file, e), 1)
+    sig = _load(args.sig, parse_signature)
+    _, term = _translate_file(args.file, sig, args.max_arity)
     print(hol.show_term(term))
     return 0
 
 
-def _assemble(args: argparse.Namespace,
-              sig: Signature) -> thf.Problem:
+def _assemble(args: argparse.Namespace) -> thf.Problem:
+    sig = _load(args.sig, parse_signature)
     axioms: list[tuple[str, hol.Term]] = []
     taken: set[str] = set()
     for path in args.axiom or []:
@@ -123,12 +136,7 @@ def _checked_text(problem: thf.Problem) -> str | None:
 
 
 def cmd_emit(args: argparse.Namespace) -> int:
-    sig = _load_signature(args.sig)
-    try:
-        problem = _assemble(args, sig)
-    except SourceError as e:
-        return _fail(str(e), 1)
-    text = _checked_text(problem)
+    text = _checked_text(_assemble(args))
     if text is None:
         return 1
     if args.out:
@@ -139,13 +147,9 @@ def cmd_emit(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    sig = _load_signature(args.sig)
-    try:
-        scheme_stmt, scheme = _translate_file(args.scheme, sig,
-                                              args.max_arity)
-        _, conjecture = _translate_file(args.file, sig, args.max_arity)
-    except SourceError as e:
-        return _fail(str(e), 1)
+    sig = _load(args.sig, parse_signature)
+    scheme_stmt, scheme = _translate_file(args.scheme, sig, args.max_arity)
+    _, conjecture = _translate_file(args.file, sig, args.max_arity)
     k = args.strip if args.strip is not None else len(scheme_stmt.prefix)
     try:
         found = recover_scheme_instantiation(scheme, conjecture, k)
@@ -159,12 +163,7 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
-    sig = _load_signature(args.sig)
-    try:
-        problem = _assemble(args, sig)
-    except SourceError as e:
-        return _fail(str(e), 1)
-    text = _checked_text(problem)
+    text = _checked_text(_assemble(args))
     if text is None:
         return 1
     with tempfile.NamedTemporaryFile(
@@ -201,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--sig", required=True,
                        help="signature file naming the constants")
-        p.add_argument("--max-arity", type=int, default=6, metavar="N",
+        p.add_argument("--max-arity", type=_count, default=6, metavar="N",
                        help="largest comprehension binder count "
                             "(default 6)")
 
@@ -231,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme", help="scheme statement")
     p.add_argument("file", help="ground conjecture statement")
     common(p)
-    p.add_argument("--strip", type=int, metavar="K",
+    p.add_argument("--strip", type=_count, metavar="K",
                    help="outer universals to open (default: the "
                         "scheme's prefix length)")
     p.set_defaults(run=cmd_match)
@@ -254,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         return _fail(str(e), 2)
     except SourceError as e:
-        return _fail(str(e), 1)
+        return _fail(_positioned(e), 1)
     except (TranslationError, thf.UndeclaredConstant, hol.HolTypeError) as e:
         return _fail(str(e), 1)
     except RecursionError:

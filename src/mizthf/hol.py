@@ -505,16 +505,23 @@ def type_of(t: Term, ctx: TypingContext) -> Type:
     return go(t, {}, "root")
 
 
+def collect_constants(ctx: dict[str, Type], t: Term) -> None:
+    """Add every constant of ``t`` to ``ctx`` at its annotated type, in
+    name order.  An annotation that disagrees with ``ctx`` raises
+    ``IllTyped``."""
+    for c in sorted(constants(t), key=lambda c: c.name):
+        if ctx.get(c.name, c.type) != c.type:
+            raise IllTyped(c.name, ctx[c.name], c.type)
+        ctx[c.name] = c.type
+
+
 def ambient_context(*terms: Term) -> dict[str, Type]:
     """A typing context collecting every constant and free variable of
     the given terms at its annotated type.  Conflicting annotations for
     one name raise ``IllTyped``."""
     ctx: dict[str, Type] = {}
     for t in terms:
-        for c in sorted(constants(t), key=lambda c: c.name):
-            if ctx.get(c.name, c.type) != c.type:
-                raise IllTyped(c.name, ctx[c.name], c.type)
-            ctx[c.name] = c.type
+        collect_constants(ctx, t)
         for n, ty in sorted(free_vars(t), key=lambda p: p[0]):
             if ctx.get(n, ty) != ty:
                 raise IllTyped(n, ctx[n], ty)

@@ -102,6 +102,8 @@ class Signature:
 class SourceError(Exception):
     """A frontend error, optionally tied to a source position."""
 
+    path: str | None = None  # set by the code that read the source file
+
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         self.message = message
         self.line = line

@@ -63,10 +63,7 @@ def assemble_problem(conjecture: hol.Term,
     """
     occurring: dict[str, hol.Type] = {}
     for term in [conjecture] + [t for _, t in axioms]:
-        for c in sorted(hol.constants(term), key=lambda c: c.name):
-            if occurring.get(c.name, c.type) != c.type:
-                raise hol.IllTyped(c.name, occurring[c.name], c.type)
-            occurring[c.name] = c.type
+        hol.collect_constants(occurring, term)
 
     base = {d.name: d for d in base_declarations(sig)}
     arities = sorted(

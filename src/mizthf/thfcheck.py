@@ -5,7 +5,8 @@ emitter produces (type, definition, axiom, conjecture roles; ``$i``,
 ``$o`` and right-associated arrows; the usual connectives, ``=``, the
 ``!``/``?``/``^`` binders and ``@`` application) and reports anything
 outside that subset or ill-typed as diagnostics.  It shares no code
-with the emitter, so a bug must be made twice to slip through.
+with the emitter, and none of ``hol``'s typing: it types each formula
+while it parses it, so a bug must be made twice to slip through.
 
 The lexer is one regular expression: each match skips whitespace
 (whatever ``str.isspace`` accepts) and ``%`` comments that end in a
@@ -16,19 +17,25 @@ texts alone; a token's kind follows from its text.  A rejection carries
 a token index; only when a diagnostic is reported does ``_positions``
 run the same pattern again to find its ``line:col``.
 
+Every former checks its typing rule where it is parsed and returns its
+type, so a formula gets one pass and no term is built.  An ill-typed
+diagnostic sits at the offending token: the ``@`` whose head is not a
+function, the argument or right side of ``=`` of the wrong type, the
+connective operand or binder body that is not of type ``o``.  A
+formula line whose whole formula is not of type ``o`` is reported at
+its name.
+
 A formula or type may nest at most ``MAX_DEPTH`` levels.  A level is
 one ``(``, ``~`` or bound variable, or one link of an ``&``, ``|``,
 ``@`` or ``>`` chain; an operand of a chain sits on its link's level,
 so the emitter's right-nested ``(a) & ((b) & (...))`` costs one level
-per conjunct.  Every level but a ``>`` link costs the checker or
-``hol.type_of`` at least one Python frame, so a limit equal to the
-default recursion limit refuses nothing that a default stack could
-check; a ``>`` chain counts because comparing or printing a type
-recurses once per arrow.  Within the limit a check takes at most
-``_STACK_ROOM`` frames, and ``check_thf`` raises the recursion limit by
-that much while it runs.  Deeper input gets a ``too-deep`` diagnostic at
-the token that crosses the limit, so a check never raises
-``RecursionError``.
+per conjunct.  The limit is a stated policy, equal to the default
+recursion limit, not a stack bound: the bound variables of one binder
+list cost the parse no Python frame.  Within the limit a check takes at
+most ``_STACK_ROOM`` frames, and ``check_thf`` raises the recursion
+limit by that much while it runs.  Deeper input gets a
+``too-deep`` diagnostic at the token that crosses the limit, so a check
+never raises ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -36,20 +43,18 @@ from __future__ import annotations
 import re
 import sys
 import threading
-from typing import NamedTuple
 
 from . import hol
-from .hol import (
-    All, And, App, Const, Eq, Ex, FnType, Iff, Imp, IND, Lam, Not, Or,
-    PROP, TOP, Var,
-)
+from .hol import FnType, IND, PROP
 from .mizar import Diagnostic
 
 MAX_DEPTH = 1000
-# The most Python frames a check takes (CPython 3.11): five a level when a message
-# prints a type of MAX_DEPTH arrows below MAX_DEPTH parentheses, three
-# per arrow and two per parenthesis, plus the checker's own calls
-_STACK_ROOM = 5 * MAX_DEPTH + 50
+# The most Python frames a check takes (CPython 3.11).  Comparing or
+# printing a type takes three frames an arrow, and the longest type a
+# check compares has 2 * MAX_DEPTH arrows: a constant's MAX_DEPTH under a
+# "^" of MAX_DEPTH bound variables.  A "(" costs the parse two frames,
+# so parentheses around a shorter comparison cost less (5 * MAX_DEPTH).
+_STACK_ROOM = 6 * MAX_DEPTH + 50
 # the recursion limit is per process: one check at a time changes it
 _STACK_LOCK = threading.Lock()
 
@@ -62,8 +67,6 @@ _LEXEME = re.compile(
     rf"\s*(?:%[^\n]*\n\s*)*(\w+|\$\w*|{_SYMBOLS}|(?=%)|.|\Z)")
 _SYMBOL = re.compile(_SYMBOLS)
 
-_BINDERS = {"!": All, "?": Ex, "^": Lam}
-
 
 def _kind(text: str) -> str:
     if not text:
@@ -74,13 +77,6 @@ def _kind(text: str) -> str:
     if first.isalpha() or first == "_":
         return "word"
     return "sym" if _SYMBOL.fullmatch(text) else "stray"
-
-
-class _Tok(NamedTuple):
-    kind: str  # word, dollar, sym, stray, eof
-    text: str
-    line: int
-    col: int
 
 
 def _positions(text: str, wanted: set[int]) -> dict[int, tuple[int, int]]:
@@ -109,13 +105,6 @@ def _texts(text: str) -> list[str]:
     return toks
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    """The tokens of ``text`` up to eof, with their kinds and positions."""
-    toks = _texts(text)
-    where = _positions(text, set(range(len(toks))))
-    return [_Tok(_kind(tok), tok, *where[k]) for k, tok in enumerate(toks)]
-
-
 class _Reject(Exception):
     """Abandon the current formula line with one diagnostic at the token
     with index ``at``."""
@@ -127,6 +116,11 @@ class _Reject(Exception):
 
 def _too_deep(at: int) -> _Reject:
     return _Reject("too-deep", f"nesting deeper than {MAX_DEPTH} levels", at)
+
+
+def _want(expected: hol.Type, found: hol.Type, at: int) -> None:
+    if found != expected:
+        raise _Reject("ill-typed", f"expected {expected}, found {found}", at)
 
 
 class _Checker:
@@ -226,11 +220,7 @@ class _Checker:
                 return
             if role == "conjecture":
                 self.conjectures += 1
-            formula = self.formula({}, 0)
-            try:
-                ty = hol.type_of(formula, self.decls)
-            except hol.HolTypeError as e:
-                raise _Reject("ill-typed", str(e), role_at) from None
+            ty = self.formula({}, 0)
             if ty != PROP:
                 raise _Reject("ill-typed", f"{role} {name!r} has "
                               f"type {ty}, wanted o", name_at)
@@ -281,45 +271,40 @@ class _Checker:
 
     # --------------------------------------------------------- formulas
 
-    def formula(self, env: dict[str, hol.Type], depth: int) -> hol.Term:
-        first = self.unit(env, depth)
-        op_at = self.pos
-        op = self.toks[op_at]
+    def formula(self, env: dict[str, hol.Type], depth: int) -> hol.Type:
+        start = self.pos
+        ty = self.unit(env, depth)
+        op = self.toks[self.pos]
         if op in ("@", "&", "|"):
-            parts = [first]
+            if op != "@":
+                _want(PROP, ty, start)
+            level = depth
             while self.toks[self.pos] == op:
-                level = depth + len(parts)
+                at = self.pos
+                level += 1
                 if level > MAX_DEPTH:
-                    raise _too_deep(self.pos)
-                self.next()
+                    raise _too_deep(at)
+                self.pos = at + 1
+                wanted = PROP
+                if op == "@":
+                    if not isinstance(ty, FnType):
+                        raise _Reject("ill-typed", f"{ty} is not a function "
+                                      "type", at)
+                    wanted, ty = ty.dom, ty.cod
                 # an operand's "(", "~" or first bound variable opens its
                 # link's level, not another
-                parts.append(self.unit(env, level - 1))
+                _want(wanted, self.unit(env, level - 1), at + 1)
             self.no_more_ops(op)
-            if op == "@":
-                term = first
-                for arg in parts[1:]:
-                    term = App(term, arg)
-                return term
-            ctor = And if op == "&" else Or
-            term = parts[-1]
-            for part in reversed(parts[:-1]):
-                term = ctor(part, term)
-            return term
+            return ty
         if op in ("=>", "<=>", "="):
+            if op != "=":
+                _want(PROP, ty, start)
             self.next()
-            second = self.unit(env, depth)
+            at = self.pos
+            _want(ty if op == "=" else PROP, self.unit(env, depth), at)
             self.no_more_ops(op)
-            if op == "=>":
-                return Imp(first, second)
-            if op == "<=>":
-                return Iff(first, second)
-            try:
-                at = hol.type_of(first, {**self.decls, **env})
-            except hol.HolTypeError as e:
-                raise _Reject("ill-typed", str(e), op_at) from None
-            return Eq(first, second, at)
-        return first
+            return PROP
+        return ty
 
     def no_more_ops(self, opened: str) -> None:
         tok = self.toks[self.pos]
@@ -327,7 +312,7 @@ class _Checker:
             raise _Reject("syntax", f"mixed operators {opened!r} and "
                           f"{tok!r} need parentheses", self.pos)
 
-    def unit(self, env: dict[str, hol.Type], depth: int) -> hol.Term:
+    def unit(self, env: dict[str, hol.Type], depth: int) -> hol.Type:
         at = self.pos
         tok = self.toks[at]
         if tok:  # self.next(), inlined on the hottest path
@@ -335,36 +320,38 @@ class _Checker:
         if tok == "(":
             if depth >= MAX_DEPTH:
                 raise _too_deep(at)
-            term = self.formula(env, depth + 1)
+            ty = self.formula(env, depth + 1)
             self.expect(")")
-            return term
+            return ty
         if tok == "~":
             if depth >= MAX_DEPTH:
                 raise _too_deep(at)
-            return Not(self.unit(env, depth + 1))
-        if tok in _BINDERS:
+            _want(PROP, self.unit(env, depth + 1), at + 1)
+            return PROP
+        if tok in ("!", "?", "^"):
             return self.binder(tok, env, depth)
         if tok == "$true":
-            return TOP
+            return PROP
         if _kind(tok) == "word":
             if tok[0].islower():
                 ty = self.decls.get(tok)
                 if ty is None:
                     raise _Reject("undeclared", f"constant {tok!r} has "
                                   "no type declaration", at)
-                return Const(tok, ty)
+                return ty
             ty = env.get(tok)
             if ty is None:
                 raise _Reject("unbound", f"variable {tok!r} is not "
                               "bound here", at)
-            return Var(tok, ty)
+            return ty
         raise _Reject("syntax", f"expected a formula, found "
                       f"{tok or 'end of input'!r}", at)
 
     def binder(self, quant: str, env: dict[str, hol.Type],
-               depth: int) -> hol.Term:
+               depth: int) -> hol.Type:
         self.expect("[")
-        binders: list[tuple[str, hol.Type]] = []
+        inner = dict(env)
+        doms: list[hol.Type] = []
         while True:
             at = self.pos
             v = self.next()
@@ -375,19 +362,21 @@ class _Checker:
                 raise _too_deep(at)
             depth += 1
             self.expect(":")
-            binders.append((v, self.type(depth)))
+            doms.append(self.type(depth))
+            inner[v] = doms[-1]
             if self.toks[self.pos] == ",":
                 self.next()
                 continue
             break
         self.expect("]")
         self.expect(":")
-        inner = dict(env)
-        inner.update(binders)
+        at = self.pos
         body = self.unit(inner, depth)
-        ctor = _BINDERS[quant]
-        for v, ty in reversed(binders):
-            body = ctor(v, ty, body)
+        if quant != "^":
+            _want(PROP, body, at)
+            return PROP
+        for dom in reversed(doms):
+            body = FnType(dom, body)
         return body
 
 

@@ -168,6 +168,44 @@ def test_match_strip_zero_needs_identical_shape(sig, corpus_files,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [
+    ["emit", "{bad}"],
+    ["emit", "{good}", "--axiom", "{bad}"],
+    ["match", "{bad}", "{good}"],
+    ["match", "{good}", "{bad}"],
+    ["prove", "{bad}", "--prover", "true"],
+])
+def test_source_errors_name_file_and_position(tmp_path, sig, corpus_files,
+                                              capsys, command):
+    bad = tmp_path / "bad.mst"
+    bad.write_text("statement : p1(c1) &\n  c9 = c1\n")
+    good = next(p for p in corpus_files if p.stem == "eq_triv")
+    argv = [a.format(bad=bad, good=good) for a in command]
+    assert main([*argv, "--sig", sig]) == 1
+    assert capsys.readouterr().err == f"{bad}:2:3: unknown name 'c9'\n"
+
+
+def test_signature_errors_name_file_and_position(tmp_path, corpus_files,
+                                                 capsys):
+    bad = tmp_path / "bad.sig"
+    bad.write_text("obj c1\nfunc f1\n")
+    good = next(p for p in corpus_files if p.stem == "eq_triv")
+    assert main(["emit", str(good), "--sig", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"{bad}:2:6: expected 'func NAME/ARITY'\n")
+
+
+@pytest.mark.parametrize("option", ["--strip=-1", "--max-arity=-1"])
+def test_negative_counts_are_usage_errors(sig, corpus_files, capsys,
+                                          option):
+    scheme = next(p for p in corpus_files if p.stem == "subset_ex")
+    inst = next(p for p in corpus_files if p.stem == "subset_inst")
+    with pytest.raises(SystemExit) as exc:
+        main(["match", str(scheme), str(inst), "--sig", sig, option])
+    assert exc.value.code == 2
+    assert "expected a count of 0 or more" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(sig, capsys):
     assert main(["translate", "no_such_file.mst", "--sig", sig]) == 2
     assert capsys.readouterr().err != ""

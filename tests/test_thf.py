@@ -19,7 +19,7 @@ from mizthf.hol import (
     apps, fn,
 )
 from mizthf.thf import MangleTable, UndeclaredConstant, render_type
-from mizthf.thfcheck import MAX_DEPTH, _tokenize
+from mizthf.thfcheck import MAX_DEPTH, _kind, _positions, _texts
 
 from generators import random_statement, rich_signature
 
@@ -291,7 +291,10 @@ def test_check_thf_handles_equality_types():
     ("é²", [("word", "é²", 1, 1), ("eof", "", 1, 3)]),
 ])
 def test_check_thf_tokens(text, tokens):
-    assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)] == tokens
+    toks = _texts(text)
+    where = _positions(text, set(range(len(toks))))
+    assert [(_kind(tok), tok, *where[k])
+            for k, tok in enumerate(toks)] == tokens
 
 
 @pytest.mark.parametrize("text,where,char", [
@@ -391,6 +394,41 @@ def test_check_thf_limit_counts_mixed_nesting():
     assert check_thf(DECLS + GOAL + body + ").") == []
     diags = check_thf(DECLS + GOAL + "! [X: $i] : " + body + ").")
     assert [d.code for d in diags] == ["too-deep"]
+
+
+@pytest.mark.parametrize("formula,where,message", [
+    ("(c @ c)", "4:26", "ι is not a function type"),
+    ("(p @ $true)", "4:28", "expected ι, found o"),
+    ("c = $true", "4:27", "expected ι, found o"),
+    ("~ c", "4:25", "expected o, found ι"),
+    ("c & $true", "4:23", "expected o, found ι"),
+    ("! [X: $i] : X", "4:35", "expected o, found ι"),
+    ("c", "4:5", "conjecture 'goal' has type ι, wanted o"),
+    # the type error comes first in token order, the missing ")" later
+    ("~ c $true", "4:25", "expected o, found ι"),
+])
+def test_check_thf_ill_typed_positions(formula, where, message):
+    assert [str(d) for d in check_thf(DECLS + GOAL + formula + ").")] == [
+        f"{where}: {message} [ill-typed]"]
+
+
+def test_check_thf_widest_type_from_a_deep_caller():
+    # a constant's MAX_DEPTH arrows under a "^" of MAX_DEPTH - 1 bound
+    # variables, compared (and printed) at "="
+    def lam(body: str) -> str:
+        binders = ", ".join(f"X{k:04}: $i" for k in range(MAX_DEPTH - 1))
+        return f"(^ [{binders}] : {body})"
+
+    def problem(d_result: str) -> str:
+        return ("thf(c_tp, type, c: " + "$i > " * MAX_DEPTH + "$o).\n"
+                "thf(d_tp, type, d: " + "$i > " * MAX_DEPTH + d_result
+                + ").\n" + GOAL + lam("c") + " = " + lam("d") + ").")
+
+    def at_depth(n: int, text: str) -> list:
+        return at_depth(n - 1, text) if n else check_thf(text)
+
+    assert at_depth(500, problem("$o")) == []
+    assert [d.code for d in at_depth(500, problem("$i"))] == ["ill-typed"]
 
 
 def _where_is_inside(where: str, text: str) -> bool:
