@@ -7,7 +7,8 @@ pass, ``translate`` shows the higher-order form of one statement,
 emitted problem to an external prover and reads back its SZS status.
 
 Exit status: 0 success, 1 diagnostics or no match or not proved,
-2 usage and I/O errors.
+2 usage and I/O errors, and a prover that exits nonzero with no SZS
+status line on its stdout.
 """
 
 from __future__ import annotations
@@ -73,12 +74,7 @@ def _count(text: str) -> int:
 
 def _axiom_name(path: str, statement: MStatement, taken: set[str]) -> str:
     base = statement.name or re.sub(r"\W", "_", Path(path).stem) or "ax"
-    name, n = base, 1
-    while name in taken:
-        n += 1
-        name = f"{base}_{n}"
-    taken.add(name)
-    return name
+    return thf.unique_name(base, taken)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -177,14 +173,17 @@ def cmd_prove(args: argparse.Namespace) -> int:
                 stderr=subprocess.PIPE, text=True,
                 start_new_session=True) as prover:
             try:
-                stdout, stderr = prover.communicate(timeout=args.timeout)
+                stdout, _ = prover.communicate(timeout=args.timeout)
             except subprocess.TimeoutExpired:
                 os.killpg(prover.pid, signal.SIGKILL)
                 return _fail(f"prover timed out after {args.timeout}s", 1)
     finally:
         Path(path).unlink(missing_ok=True)
-    output = stdout + stderr
-    match = re.search(r"SZS status (\w+)", output)
+    # only a status line on stdout counts (Sutcliffe, "The SZS
+    # Ontologies for Automated Reasoning Software", 2008)
+    match = re.search(r"^(?:% *)?SZS status (\w+)", stdout, re.MULTILINE)
+    if match is None and prover.returncode != 0:
+        return _fail(f"prover exited with status {prover.returncode}", 2)
     status = match.group(1) if match else "Unknown"
     print(f"SZS status {status}")
     return 0 if status == "Theorem" else 1

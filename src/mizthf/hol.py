@@ -21,7 +21,7 @@ constructor needs only those two to change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Container, Iterator, Mapping
 
 
 # ---------------------------------------------------------------- types
@@ -340,7 +340,7 @@ def free_names(t: Term) -> frozenset[str]:
     return frozenset(n for n, _ in free_vars(t))
 
 
-def fresh_name(base: str, avoid: set[str] | frozenset[str]) -> str:
+def fresh_name(base: str, avoid: Container[str]) -> str:
     """``base`` itself if unused, else the first free ``base<k>``."""
     if base not in avoid:
         return base

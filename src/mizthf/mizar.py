@@ -92,9 +92,6 @@ class Signature:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def names(self) -> list[str]:
-        return sorted(self._entries)
-
 
 # --------------------------------------------------------------- errors
 

@@ -122,44 +122,40 @@ class MangleTable:
         hit = self._by_source.get(source)
         if hit is not None:
             return hit
-        out = self._claim(_mangle_lower(source))
+        out = unique_name(_mangle(source, "c"), self._used)
         self._by_source[source] = out
         return out
 
     def claim_formula_name(self, source: str) -> str:
         """Formula names are not bijective per source; every claim gets
         a unique word."""
-        return self._claim(_mangle_lower(source))
-
-    def _claim(self, base: str) -> str:
-        out = base
-        n = 1
-        while out in self._used:
-            n += 1
-            out = f"{base}_{n}"
-        self._used.add(out)
-        return out
+        return unique_name(_mangle(source, "c"), self._used)
 
     def items(self) -> list[tuple[str, str]]:
         return sorted(self._by_source.items())
 
 
-def _mangle_lower(source: str) -> str:
-    cleaned = "".join(c if c.isalnum() or c == "_" else "_" for c in source)
-    if not cleaned or not cleaned[0].isalpha():
-        cleaned = "c" + cleaned
-    if not cleaned[0].islower():
-        cleaned = cleaned[0].lower() + cleaned[1:]
-    return cleaned
+def unique_name(base: str, taken: set[str]) -> str:
+    """``base``, else the first of ``base_2``, ``base_3``, ... not in
+    ``taken``; the name returned is added to ``taken``."""
+    out, n = base, 1
+    while out in taken:
+        n += 1
+        out = f"{base}_{n}"
+    taken.add(out)
+    return out
 
 
-def _mangle_upper(source: str) -> str:
+def _mangle(source: str, lead: str) -> str:
+    """``source`` as a THF0 word with ``lead``'s case on its initial:
+    other characters than letters, digits and ``_`` become ``_``, and
+    ``lead`` (``c`` for constants, ``X`` for variables) goes in front
+    of an initial that is not a letter."""
     cleaned = "".join(c if c.isalnum() or c == "_" else "_" for c in source)
     if not cleaned or not cleaned[0].isalpha():
-        cleaned = "X" + cleaned
-    if not cleaned[0].isupper():
-        cleaned = cleaned[0].upper() + cleaned[1:]
-    return cleaned
+        cleaned = lead + cleaned
+    case = str.upper if lead.isupper() else str.lower
+    return case(cleaned[0]) + cleaned[1:]
 
 
 def render_type(t: hol.Type) -> str:
@@ -206,12 +202,7 @@ def render_formula(t: hol.Term, consts: MangleTable) -> str:
                 binders = []
                 active = set(env.values())
                 while isinstance(t, (All, Ex, Lam)) and _QUANT[type(t)] == quant:
-                    base = _mangle_upper(t.var)
-                    v, n = base, 1
-                    while v in active:
-                        n += 1
-                        v = f"{base}_{n}"
-                    active.add(v)
+                    v = unique_name(_mangle(t.var, "X"), active)
                     binders.append((t.var, v, t.var_type))
                     env = {**env, t.var: v}
                     t = t.body

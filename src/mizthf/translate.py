@@ -1,12 +1,15 @@
 """Compile statements into higher-order terms.
 
-Types become predicates over individuals: ``set`` is the vacuous class,
-a mode application is the mode's constant partially applied, and
-attributes conjoin onto their base class.  Quantifiers relativize to the
-bound variable's class; guards that reduce to literal truth are dropped
-(so ``for x being set holds p`` is plain universal quantification).
-That, plus beta-reducing the guard application itself, is the only
-simplification performed.
+Types become predicates over individuals, compiled straight to the
+guard for a given subject: ``set`` is literal truth, a mode application
+is the mode's constant applied to the subject and the mode arguments,
+and attributes conjoin onto their base's guard.  Quantifiers relativize
+by the bound variable's guard; guards that are literal truth are
+dropped (so ``for x being set holds p`` is plain universal
+quantification), and that is the only simplification performed.  A type
+becomes a class (a lambda) only where a term needs one: ``the T`` and
+Fraenkel binders.  No redex is ever built, so the result is beta-normal
+by construction and nothing here substitutes.
 
 The prefix compiles to outermost quantifiers: object variables like
 bound variables, function variables with a typing guard relativizing
@@ -51,8 +54,9 @@ class TransEnv:
     def bind(self, name: str, ty: hol.Type) -> TransEnv:
         return TransEnv(self.sig, {**self.scope, name: ty}, self.max_arity)
 
-    def avoid(self) -> set[str]:
-        return set(self.scope) | set(self.sig.names())
+    def __contains__(self, name: str) -> bool:
+        """Whether ``name`` is taken, so a fresh name must avoid it."""
+        return name in self.scope or name in self.sig
 
     def const(self, name: str) -> hol.Term:
         entry = self.sig.lookup(name)
@@ -67,21 +71,33 @@ class TransEnv:
         return Var(name, ty)
 
 
-def apply_class(cls: hol.Term, subject: hol.Term) -> hol.Term:
-    """The class predicate applied to a subject, beta-reduced."""
-    return hol.beta_normalize(hol.App(cls, subject))
-
-
-def _relativize(binder, var: str, cls: hol.Term,
+def _relativize(binder, var: str, t: MType, env: TransEnv,
                 body: hol.Term) -> hol.Term:
     """``binder`` (``All`` or ``Ex``) over ``var : i`` restricted to the
-    class ``cls``: ``∀var. cls var → body`` or ``∃var. cls var ∧ body``.
-    A guard that is literally ``TOP`` is dropped; this is the only place
+    type ``t``: ``∀var. guard → body`` or ``∃var. guard ∧ body``.  A
+    guard that is literally ``TOP`` is dropped; this is the only place
     guards are simplified."""
-    guard = apply_class(cls, Var(var, IND))
+    guard = translate_guard(t, env, Var(var, IND))
     if guard != TOP:
         body = (Imp if binder is All else And)(guard, body)
     return binder(var, IND, body)
+
+
+def translate_guard(t: MType, env: TransEnv, subject: hol.Term) -> hol.Term:
+    """The proposition that ``subject`` (of type ``i``) has type ``t``."""
+    match t:
+        case SetType():
+            return TOP
+        case Mode(name, args):
+            return hol.apps(env.const(name), subject,
+                            *(translate_term(a, env) for a in args))
+        case Attr(name, base):
+            return And(hol.App(env.const(name), subject),
+                       translate_guard(base, env, subject))
+        case NonAttr(name, base):
+            return And(hol.Not(hol.App(env.const(name), subject)),
+                       translate_guard(base, env, subject))
+    raise TypeError(f"unexpected type {t!r}")
 
 
 def translate_type(t: MType, env: TransEnv) -> hol.Term:
@@ -90,24 +106,8 @@ def translate_type(t: MType, env: TransEnv) -> hol.Term:
     The lambda's bound variable is fresh for everything in scope, so it
     never captures in the embedded argument translations.
     """
-    x = hol.fresh_name("x", env.avoid())
-    xv = Var(x, IND)
-    match t:
-        case SetType():
-            return Lam(x, IND, TOP)
-        case Mode(name, args):
-            targs = [translate_term(a, env) for a in args]
-            return Lam(x, IND, hol.apps(env.const(name), xv, *targs))
-        case Attr(name, base):
-            cls = translate_type(base, env)
-            return Lam(x, IND,
-                       And(hol.App(env.const(name), xv), apply_class(cls, xv)))
-        case NonAttr(name, base):
-            cls = translate_type(base, env)
-            return Lam(x, IND,
-                       And(hol.Not(hol.App(env.const(name), xv)),
-                           apply_class(cls, xv)))
-    raise TypeError(f"unexpected type {t!r}")
+    x = hol.fresh_name("x", env)
+    return Lam(x, IND, translate_guard(t, env, Var(x, IND)))
 
 
 def translate_term(t: MTerm, env: TransEnv) -> hol.Term:
@@ -175,10 +175,10 @@ def translate_prop(p: MProp, env: TransEnv) -> hol.Term:
         case MIff(l, r):
             return hol.Iff(translate_prop(l, env), translate_prop(r, env))
         case ForBeing(var, mt, body):
-            return _relativize(All, var, translate_type(mt, env),
+            return _relativize(All, var, mt, env,
                                translate_prop(body, env.bind(var, IND)))
         case ExBeing(var, mt, body):
-            return _relativize(Ex, var, translate_type(mt, env),
+            return _relativize(Ex, var, mt, env,
                                translate_prop(body, env.bind(var, IND)))
     raise TypeError(f"unexpected proposition {p!r}")
 
@@ -198,22 +198,18 @@ def translate_statement(s: MStatement, sig: Signature,
         decl = s.prefix[i]
         match decl:
             case ObjDecl(name, mt):
-                return _relativize(All, name, translate_type(mt, env),
+                return _relativize(All, name, mt, env,
                                    go(i + 1, env.bind(name, IND)))
             case FunDecl(name, args, result):
                 fty = hol.fn(*([IND] * len(args)), IND)
-                arg_classes = [translate_type(a, env) for a in args]
-                res_class = translate_type(result, env)
-                avoid = env.avoid()
-                xs = []
+                xs, local = [], env
                 for k in range(1, len(args) + 1):
-                    xk = hol.fresh_name(f"x{k}", avoid)
-                    avoid.add(xk)
-                    xs.append(Var(xk, IND))
-                fvar = Var(name, fty)
-                typing = apply_class(res_class, hol.apps(fvar, *xs))
-                for cls, x in zip(reversed(arg_classes), reversed(xs)):
-                    typing = _relativize(All, x.name, cls, typing)
+                    xs.append(Var(hol.fresh_name(f"x{k}", local), IND))
+                    local = local.bind(xs[-1].name, IND)
+                typing = translate_guard(result, env,
+                                         hol.apps(Var(name, fty), *xs))
+                for mt, x in zip(reversed(args), reversed(xs)):
+                    typing = _relativize(All, x.name, mt, env, typing)
                 rest = go(i + 1, env.bind(name, fty))
                 return All(name, fty, Imp(typing, rest))
             case PredDecl(name, args):
@@ -226,6 +222,6 @@ def translate_statement(s: MStatement, sig: Signature,
 
 
 __all__ = [
-    "TransEnv", "TranslationError", "apply_class", "translate_type",
+    "TransEnv", "TranslationError", "translate_guard", "translate_type",
     "translate_term", "translate_prop", "translate_statement",
 ]

@@ -305,3 +305,20 @@ def test_prove_timeout_kills_what_the_prover_started(tmp_path, sig,
     while _alive(pid) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not _alive(pid)
+
+
+@pytest.mark.parametrize("script, code, out, err", [
+    # a status on stderr is not the prover's answer
+    ('echo "% SZS status Theorem" >&2', 1, "SZS status Unknown\n", ""),
+    ("exit 3", 2, "", "prover exited with status 3\n"),
+    # a status line on stdout wins over a nonzero exit
+    ('echo "% SZS status Theorem"\nexit 1', 0, "SZS status Theorem\n", ""),
+], ids=["stderr-only", "silent-crash", "status-wins"])
+def test_prove_reads_stdout_status_and_exit_code(tmp_path, sig, corpus_files,
+                                                 capsys, script, code, out,
+                                                 err):
+    conj = next(p for p in corpus_files if p.stem == "eq_triv")
+    prover = fake_prover(tmp_path, "prover", script)
+    assert main(["prove", str(conj), "--sig", sig,
+                 "--prover", prover]) == code
+    assert capsys.readouterr() == (out, err)

@@ -223,3 +223,48 @@ def test_generated_statements_translate_closed_and_boolean():
         assert hol.free_vars(t) == frozenset()
         assert type_of(t, ambient_context(t)) == o
         assert hol.metas(t) == set()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("translation built a redex or substituted")
+
+
+def test_translation_builds_no_redex(monkeypatch, corpus_sig, corpus_files):
+    corpus = [parse_statement(p.read_text(), corpus_sig)
+              for p in corpus_files]
+    rng = random.Random(7)
+    generated = [random_statement(rng) for _ in range(2000)]
+    for name in ("beta_normalize", "subst_var", "free_names"):
+        monkeypatch.setattr(hol, name, _refuse)
+    for stmt in corpus:
+        translate_statement(stmt, corpus_sig)
+    for stmt in generated:
+        translate_statement(stmt, SIG)
+
+
+def test_fresh_names_avoid_signature_and_prefix_names(corpus_sig):
+    sig = Signature()
+    sig.declare("x", "obj")
+    t = translate_statement(parse_statement("statement : the set = x", sig),
+                            sig)
+    assert t == Eq(App(eps, Lam("x1", i, TOP)), Const("x", i), i)
+
+    F = Var("F", fn(i, i))
+    x1 = Var("x1", i)
+    t = tr("scheme S { x1() -> set, F(set) -> set } : F(x1) = x1")
+    assert t == All("x1", i, All("F", fn(i, i), Imp(
+        All("x11", i, TOP), Eq(App(F, x1), x1, i))))
+
+    # each typing binder avoids the ones chosen before it: x1 is taken,
+    # so the first is x11, and the eleventh then moves on to x111
+    args = ", ".join(["set"] * 11)
+    t = translate_statement(parse_statement(
+        f"scheme S {{ x1() -> set, F({args}) -> Element of x1 }} : c1 = c1",
+        corpus_sig), corpus_sig)
+    typing, names = t.body.body.lhs, []
+    while isinstance(typing, All):
+        names.append(typing.var)
+        typing = typing.body
+    assert names == ["x11", *(f"x{k}" for k in range(2, 11)), "x111"]
+    F11 = Var("F", fn(*[i] * 11, i))
+    assert typing == apps(subset, apps(F11, *(Var(n, i) for n in names)), x1)
