@@ -12,8 +12,11 @@ Terms are immutable, so the support material is built once per process
 and shared by every problem.  ``gen_replSep_decl`` and
 ``gen_replSep_axioms`` are cached on ``n``; the base declarations are
 cached on the Element-of mode's name (``sig.elementof``), not on the
-``Signature``, which ``tag_elementof`` changes in place.
-``base_declarations`` returns a fresh list on every call.
+``Signature``, which ``tag_elementof`` changes in place.  These caches
+have no cap: they hold one entry per arity and per mode name met.
+``base_declarations`` returns a fresh list on every call.  Because the
+declarations and their terms are the same objects in every problem,
+``thf`` caches their rendered lines on the objects' identity.
 """
 
 from __future__ import annotations

@@ -351,6 +351,19 @@ class MStatement:
 
 # scope values: (OBJ, 0) for object variables, (FUNC, n), (PRED, n)
 _Scope = dict[str, tuple[str, int]]
+# a node's path as its parent's path and a field, with the index in a
+# tuple field; a string only at the root.  Rendered only for a diagnostic.
+_Where = str | tuple
+
+
+def _path(where: _Where) -> str:
+    """``(("body", ".lhs"), ".args", 0)`` as ``"body.lhs.args[0]"``."""
+    parts = []
+    while not isinstance(where, str):
+        parts.append(where[1] if len(where) == 2
+                     else f"{where[1]}[{where[2]}]")
+        where = where[0]
+    return where + "".join(reversed(parts))
 
 
 def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
@@ -363,10 +376,10 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
     """
     out: list[Diagnostic] = []
 
-    def bad(code: str, message: str, where: str) -> None:
-        out.append(Diagnostic(code, message, where))
+    def bad(code: str, message: str, where: _Where) -> None:
+        out.append(Diagnostic(code, message, _path(where)))
 
-    def check_type(t: MType, scope: _Scope, where: str) -> None:
+    def check_type(t: MType, scope: _Scope, where: _Where) -> None:
         match t:
             case SetType():
                 pass
@@ -381,18 +394,18 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
                         f"mode {name!r} takes {entry.arity - 1} argument(s), "
                         f"got {len(args)}", where)
                 for i, a in enumerate(args):
-                    check_term(a, scope, f"{where}.args[{i}]")
+                    check_term(a, scope, (where, ".args", i))
             case Attr(name, base) | NonAttr(name, base):
                 entry = sig.lookup(name)
                 if entry is None and name not in scope:
                     bad("unknown-name", f"unknown attribute {name!r}", where)
                 elif entry is None or entry.kind != ATTR:
                     bad("kind-mismatch", f"{name!r} is not an attribute", where)
-                check_type(base, scope, f"{where}.base")
+                check_type(base, scope, (where, ".base"))
             case _:
                 bad("bad-node", f"not an MType: {t!r}", where)
 
-    def check_term(t: MTerm, scope: _Scope, where: str) -> None:
+    def check_term(t: MTerm, scope: _Scope, where: _Where) -> None:
         match t:
             case ObjVar(name):
                 got = scope.get(name)
@@ -425,7 +438,7 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
                     bad("arity-mismatch",
                         f"function application {name!r} needs arguments", where)
                 for i, a in enumerate(args):
-                    check_term(a, scope, f"{where}.args[{i}]")
+                    check_term(a, scope, (where, ".args", i))
             case FunConstApp(name, args):
                 entry = sig.lookup(name)
                 if entry is None:
@@ -438,9 +451,9 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
                         f"{name!r} takes {entry.arity} argument(s), "
                         f"got {len(args)}", where)
                 for i, a in enumerate(args):
-                    check_term(a, scope, f"{where}.args[{i}]")
+                    check_term(a, scope, (where, ".args", i))
             case The(mtype):
-                check_type(mtype, scope, f"{where}.type")
+                check_type(mtype, scope, (where, ".type"))
             case Fraenkel(binders, body, guard):
                 if not binders:
                     bad("empty-binders",
@@ -450,16 +463,16 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
                 for i, (name, mt) in enumerate(binders):
                     if name in seen:
                         bad("duplicate-binder",
-                            f"binder {name!r} repeated", f"{where}.binders[{i}]")
+                            f"binder {name!r} repeated", (where, ".binders", i))
                     seen.add(name)
-                    check_type(mt, inner, f"{where}.binders[{i}]")
+                    check_type(mt, inner, (where, ".binders", i))
                     inner[name] = (OBJ, 0)
-                check_term(body, inner, f"{where}.body")
-                check_prop(guard, inner, f"{where}.guard")
+                check_term(body, inner, (where, ".body"))
+                check_prop(guard, inner, (where, ".guard"))
             case _:
                 bad("bad-node", f"not an MTerm: {t!r}", where)
 
-    def check_prop(p: MProp, scope: _Scope, where: str) -> None:
+    def check_prop(p: MProp, scope: _Scope, where: _Where) -> None:
         match p:
             case PredVarApp(name, args):
                 got = scope.get(name)
@@ -474,7 +487,7 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
                         f"{name!r} takes {got[1]} argument(s), got {len(args)}",
                         where)
                 for i, a in enumerate(args):
-                    check_term(a, scope, f"{where}.args[{i}]")
+                    check_term(a, scope, (where, ".args", i))
             case PredConstApp(name, args):
                 entry = sig.lookup(name)
                 # attributes and modes double as predicate constants
@@ -487,18 +500,18 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
                         f"{name!r} takes {entry.arity} argument(s), "
                         f"got {len(args)}", where)
                 for i, a in enumerate(args):
-                    check_term(a, scope, f"{where}.args[{i}]")
+                    check_term(a, scope, (where, ".args", i))
             case MEq(l, r) | MIn(l, r):
-                check_term(l, scope, f"{where}.lhs")
-                check_term(r, scope, f"{where}.rhs")
+                check_term(l, scope, (where, ".lhs"))
+                check_term(r, scope, (where, ".rhs"))
             case MNot(a):
-                check_prop(a, scope, f"{where}.arg")
+                check_prop(a, scope, (where, ".arg"))
             case MAnd(l, r) | MOr(l, r) | MImp(l, r) | MIff(l, r):
-                check_prop(l, scope, f"{where}.lhs")
-                check_prop(r, scope, f"{where}.rhs")
+                check_prop(l, scope, (where, ".lhs"))
+                check_prop(r, scope, (where, ".rhs"))
             case ForBeing(var, mt, body) | ExBeing(var, mt, body):
-                check_type(mt, scope, f"{where}.type")
-                check_prop(body, {**scope, var: (OBJ, 0)}, f"{where}.body")
+                check_type(mt, scope, (where, ".type"))
+                check_prop(body, {**scope, var: (OBJ, 0)}, (where, ".body"))
             case _:
                 bad("bad-node", f"not an MProp: {p!r}", where)
 
@@ -515,12 +528,12 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
                         f"function variable {name!r} needs at least one "
                         "argument type", where)
                 for j, a in enumerate(args):
-                    check_type(a, scope, f"{where}.args[{j}]")
-                check_type(result, scope, f"{where}.result")
+                    check_type(a, scope, (where, ".args", j))
+                check_type(result, scope, (where, ".result"))
                 new = (FUNC, len(args))
             case PredDecl(name, args):
                 for j, a in enumerate(args):
-                    check_type(a, scope, f"{where}.args[{j}]")
+                    check_type(a, scope, (where, ".args", j))
                 new = (PRED, len(args))
             case _:
                 bad("bad-node", f"not a declaration: {decl!r}", where)

@@ -13,12 +13,24 @@ Emission is deterministic: same problem, same bytes.  Source names are
 mangled to THF0 atomic words through a per-problem table (lower-case
 initial, ``_N`` suffixes on collision); bound variables get upper-case
 initials with suffixes against shadowing.
+
+Every problem carries the same support material, so ``emit_thf`` keeps
+the lines it rendered for declaration definitions and axioms, per
+process.  A line is cached on the identity of its source (the
+declaration for a definition, the term for an axiom, both built once
+per process by ``declarations``), then on its formula name and on the
+words the problem's table gives the formula's constants, so a problem
+whose table mangles a name differently gets its own line.  ``_mangle``
+and ``render_type`` are pure and cached too, so a type line costs one
+format.  Each cache holds at most ``CACHE_SIZE`` entries (sources, and
+lines per source); a full table of lines is cleared.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from . import hol
 from .declarations import (
@@ -29,6 +41,9 @@ from .hol import (
     Top, Var,
 )
 from .mizar import Signature
+
+
+CACHE_SIZE = 256
 
 
 class UndeclaredConstant(Exception):
@@ -146,6 +161,7 @@ def unique_name(base: str, taken: set[str]) -> str:
     return out
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _mangle(source: str, lead: str) -> str:
     """``source`` as a THF0 word with ``lead``'s case on its initial:
     other characters than letters, digits and ``_`` become ``_``, and
@@ -158,6 +174,7 @@ def _mangle(source: str, lead: str) -> str:
     return case(cleaned[0]) + cleaned[1:]
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def render_type(t: hol.Type) -> str:
     match t:
         case hol.PropType():
@@ -224,6 +241,35 @@ def render_formula(t: hol.Term, consts: MangleTable) -> str:
     return go(t, {}, "top")
 
 
+# id(source) -> (source, the formula's constants in rendering order,
+#                {(formula name, their words): line}); an entry holds its
+# source, so no other object can take that id while the entry lives
+_support_lines: dict[int, tuple[object, tuple[str, ...],
+                                dict[tuple[str, ...], str]]] = {}
+
+
+def _support_line(source: object, formula: hol.Term, fname: str,
+                  role: str, consts: MangleTable) -> str:
+    """The line for ``formula``, which ``source`` determines.  Looking up
+    the constants' words in their rendering order claims them in
+    ``consts`` exactly as rendering would."""
+    entry = _support_lines.get(id(source))
+    if entry is None:
+        if len(_support_lines) >= CACHE_SIZE:
+            _support_lines.clear()
+        order = dict.fromkeys(c.name for c in hol.constants(formula))
+        entry = _support_lines[id(source)] = (source, tuple(order), {})
+    _, order, lines = entry
+    key = (fname, *map(consts.get, order))
+    line = lines.get(key)
+    if line is None:
+        if len(lines) >= CACHE_SIZE:
+            lines.clear()
+        line = f"thf({fname}, {role}, {render_formula(formula, consts)})."
+        lines[key] = line
+    return line
+
+
 def emit_thf(problem: Problem) -> str:
     """The problem as THF0 text: type lines for every declaration, then
     defining equations, declaration axioms, user axioms, conjecture."""
@@ -242,13 +288,11 @@ def emit_thf(problem: Problem) -> str:
         if decl.definition is not None:
             fname = names.claim_formula_name(f"{decl.name}_def")
             eq = Eq(Const(decl.name, decl.type), decl.definition, decl.type)
-            lines.append(
-                f"thf({fname}, definition, {render_formula(eq, consts)}).")
+            lines.append(_support_line(decl, eq, fname, "definition", consts))
     for decl in problem.declarations:
         for ax_name, ax in decl.axioms:
             fname = names.claim_formula_name(ax_name)
-            lines.append(
-                f"thf({fname}, axiom, {render_formula(ax, consts)}).")
+            lines.append(_support_line(ax, ax, fname, "axiom", consts))
     for ax_name, ax in problem.axioms:
         fname = names.claim_formula_name(ax_name)
         lines.append(
@@ -258,3 +302,4 @@ def emit_thf(problem: Problem) -> str:
     lines.append(
         f"thf({fname}, conjecture, {render_formula(conj, consts)}).")
     return "\n".join(lines) + "\n"
+

@@ -36,6 +36,24 @@ most ``_STACK_ROOM`` frames, and ``check_thf`` raises the recursion
 limit by that much while it runs.  Deeper input gets a
 ``too-deep`` diagnostic at the token that crosses the limit, so a check
 never raises ``RecursionError``.
+
+Problems repeat most of their lines, so the checker keeps a memo per
+process, keyed on the text of a physical line: a token never spans a
+newline and a comment ends at one.  A line is memoized the second time
+it is met (a line met once leaves only its hash), with its token texts
+and, once a formula unit that is exactly that line has been checked
+clean, the unit's verdict: its name and role, the constant a type line
+declares, and the declared type of every constant the formula looked
+up.  A check reuses a verdict only where every recorded lookup gives
+the same type in the problem at hand, and still applies the rules that
+span a problem: duplicate names, the conjecture count, and stray
+characters (which a line with a verdict cannot hold, since no check
+starts on a text with one).  The last line, which has no newline, is
+lexed afresh.
+When a check finds anything, the text is checked again with no memo,
+so every diagnostic comes from the same path as without one.  The memo
+and the set of hashes hold at most ``MEMO_LINES`` entries each; a full
+one is cleared.
 """
 
 from __future__ import annotations
@@ -57,6 +75,7 @@ MAX_DEPTH = 1000
 _STACK_ROOM = 6 * MAX_DEPTH + 50
 # the recursion limit is per process: one check at a time changes it
 _STACK_LOCK = threading.Lock()
+MEMO_LINES = 256
 
 # Tried in order after the skip.  ``\w`` also admits digits and
 # numerals such as "²", which cannot start a word.  A "%" the skip leaves
@@ -97,12 +116,67 @@ def _positions(text: str, wanted: set[int]) -> dict[int, tuple[int, int]]:
     return found
 
 
-def _texts(text: str) -> list[str]:
-    """The token texts of ``text`` up to eof, ``""``, which ends the list.
-    A comment on the last line is lexed past eof, so it is cut off."""
-    toks = _LEXEME.findall(text)
+def _texts(text: str, pos: int = 0) -> list[str]:
+    """The token texts of ``text`` from ``pos`` up to eof, ``""``, which
+    ends the list.  A comment on the last line is lexed past eof, so it
+    is cut off."""
+    toks = _LEXEME.findall(text, pos)
     del toks[toks.index("") + 1:]
     return toks
+
+
+class _Line:
+    """A memoized line: its token texts and, once known, its verdict
+    ``(name, "type", constant, type)`` for a type line, and
+    ``(name, role, constants looked up, their types)`` for a formula."""
+
+    __slots__ = ("toks", "verdict")
+
+    def __init__(self, toks: list[str]):
+        self.toks = toks
+        self.verdict: tuple | None = None
+
+
+_memo: dict[str, _Line] = {}   # keyed on the line without its "\n"
+_seen: set[int] = set()        # hashes of lines met once
+
+
+def _lex(text: str) -> tuple[list[str], dict[int, _Line], list[str]]:
+    """``_texts(text)``; the memoized lines by the index of their first
+    token; and the tokens outside lines with a verdict, the only ones
+    that may be stray.  Lines not memoized are lexed in runs, one
+    ``findall`` a run.  A run ending in "\n" lexes to its tokens and two
+    eofs: the match that takes the newline, then the empty match at the
+    end."""
+    toks: list[str] = []
+    known: dict[int, _Line] = {}
+    unchecked: list[str] = []
+    run = start = 0  # where the pending run and the current line start
+    for line in text.split("\n")[:-1]:
+        end = start + len(line) + 1
+        memo = _memo.get(line)
+        if memo is None:
+            if hash(line) not in _seen:
+                if len(_seen) >= MEMO_LINES:
+                    _seen.clear()
+                _seen.add(hash(line))
+                start = end
+                continue
+            if len(_memo) >= MEMO_LINES:
+                _memo.clear()
+            memo = _memo[line] = _Line(_LEXEME.findall(text, start, end)[:-2])
+        if run < start:
+            part = _LEXEME.findall(text, run, start)[:-2]
+            toks += part
+            unchecked += part
+        if memo.toks:
+            known[len(toks)] = memo
+            toks += memo.toks
+            if memo.verdict is None:
+                unchecked += memo.toks
+        run = start = end
+    tail = _texts(text, run)
+    return toks + tail, known, unchecked + tail
 
 
 class _Reject(Exception):
@@ -128,8 +202,9 @@ class _Checker:
     rejects a token notes ``self.pos`` before taking it: that is the
     token's index, eof included, since ``next`` never moves past eof."""
 
-    def __init__(self, toks: list[str]):
+    def __init__(self, toks: list[str], known: dict[int, _Line]):
         self.toks = toks
+        self.known = known
         self.eof = len(toks) - 1  # the final ""
         self.pos = 0
         self.found: list[tuple[str, str, int | None]] = []
@@ -184,11 +259,50 @@ class _Checker:
     def pass_over(self, types_only: bool) -> None:
         self.pos = 0
         while self.toks[self.pos]:
+            start = self.pos
+            memo = self.known.get(start)
+            if memo and memo.verdict and self.reuse(memo, types_only):
+                continue
             try:
                 self.line(types_only)
             except _Reject as r:
                 self.found.append((r.code, r.message, r.at))
                 self.skip_line()
+                continue
+            if memo and self.pos == start + len(memo.toks):
+                self.remember(memo, start, types_only)
+
+    def remember(self, memo: _Line, start: int, types_only: bool) -> None:
+        """Record the verdict of the clean unit ``memo`` holds.  A
+        formula's verdict is known only after the second pass."""
+        toks, decls = self.toks, self.decls
+        name, role = toks[start + 2], toks[start + 4]
+        if role == "type" and types_only:
+            cname = toks[start + 6]
+            memo.verdict = (name, role, cname, decls[cname])
+        elif role != "type" and not types_only:
+            # every lower word of a clean formula is a declared constant
+            used = {t: decls[t] for t in toks[start + 6:self.pos - 2]
+                    if t[:1].islower()}
+            memo.verdict = (name, role, tuple(used), tuple(used.values()))
+
+    def reuse(self, memo: _Line, types_only: bool) -> bool:
+        """Take a memoized unit's verdict, if the problem's own rules
+        and declarations allow it, and move past the unit."""
+        name, role, declared, types = memo.verdict
+        if types_only:
+            if name in self.formula_names or (
+                    role == "type" and declared in self.decls):
+                return False
+            self.formula_names.add(name)
+            if role == "type":
+                self.decls[declared] = types
+        elif role != "type":
+            if tuple(map(self.decls.get, declared)) != types:
+                return False
+            self.conjectures += role == "conjecture"
+        self.pos += len(memo.toks)
+        return True
 
     def line(self, types_only: bool) -> None:
         self.expect("thf")
@@ -380,23 +494,31 @@ class _Checker:
         return body
 
 
-def check_thf(text: str) -> list[Diagnostic]:
-    """Diagnostics for ``text``; empty means it conforms and type-checks."""
-    toks = _texts(text)
-    strays = [tok for tok in set(toks) if _kind(tok) == "stray"]
+def _check(toks: list[str], known: dict[int, _Line], unchecked: list[str]
+           ) -> list[tuple[str, str, int | None]]:
+    """The rejections in ``toks``, from the stray characters among
+    ``unchecked`` or else from a ``_Checker``."""
+    strays = [tok for tok in set(unchecked) if _kind(tok) == "stray"]
     if strays:
         at = min(map(toks.index, strays))
-        found = [("syntax", f"stray character {toks[at][0]!r}", at)]
-    else:
-        with _STACK_LOCK:
-            limit = sys.getrecursionlimit()
-            sys.setrecursionlimit(limit + _STACK_ROOM)
-            try:
-                found = _Checker(toks).run()
-            finally:
-                sys.setrecursionlimit(limit)
+        return [("syntax", f"stray character {toks[at][0]!r}", at)]
+    with _STACK_LOCK:
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + _STACK_ROOM)
+        try:
+            return _Checker(toks, known).run()
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+def check_thf(text: str) -> list[Diagnostic]:
+    """Diagnostics for ``text``; empty means it conforms and type-checks."""
+    toks, known, unchecked = _lex(text)
+    found = _check(toks, known, unchecked)
     if not found:
         return []
+    if known:
+        found = _check(toks, {}, toks)
     where = _positions(text, {at for _, _, at in found if at is not None})
     return [Diagnostic(code, message,
                        "" if at is None else "%d:%d" % where[at])

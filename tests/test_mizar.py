@@ -10,7 +10,7 @@ from mizthf import Signature, well_formed
 from mizthf.hol import IND, PROP, fn
 from mizthf.mizar import (
     Attr, DuplicateName, ExBeing, ForBeing, Fraenkel, FunConstApp, FunDecl,
-    FunVarApp, KindMismatch, MEq, MIn, MNot, MStatement, Mode, NonAttr,
+    FunVarApp, KindMismatch, MAnd, MEq, MIn, MNot, MStatement, Mode, NonAttr,
     ObjConst, ObjDecl, ObjVar, PredConstApp, PredDecl, PredVarApp, SET,
     The, UnknownName,
 )
@@ -185,6 +185,34 @@ def test_well_formed_locates_errors():
     diags = well_formed(stmt, sig)
     assert len(diags) == 1
     assert "body" in diags[0].where
+    assert diags[0].where == "body.rhs"
+
+
+def test_well_formed_paths_of_nested_nodes():
+    sig = rich_signature()
+    stmt = MStatement(
+        (FunDecl("F", (Mode("ghost_mode", ()),
+                       Mode("m1_subset_1", (ObjConst("ghost"),))), SET),),
+        MAnd(
+            MIn(Fraenkel(
+                (("u", Mode("nomode", ())),
+                 ("u", Attr("v1_empty",
+                            Mode("m1_subset_1", (ObjVar("w"),))))),
+                FunConstApp("f1", (FunConstApp(
+                    "f2", (ObjVar("u"), ObjConst("ghost"))),)),
+                PredConstApp("nopred", (ObjVar("u"),))),
+                ObjConst("c1")),
+            MEq(ObjConst("c1"), ObjConst("ghost2"))))
+    assert [(d.code, d.where) for d in well_formed(stmt, sig)] == [
+        ("unknown-name", "prefix[0].args[0]"),
+        ("unknown-name", "prefix[0].args[1].args[0]"),
+        ("unknown-name", "body.lhs.lhs.binders[0]"),
+        ("duplicate-binder", "body.lhs.lhs.binders[1]"),
+        ("unknown-name", "body.lhs.lhs.binders[1].base.args[0]"),
+        ("unknown-name", "body.lhs.lhs.body.args[0].args[1]"),
+        ("unknown-name", "body.lhs.lhs.guard"),
+        ("unknown-name", "body.rhs.rhs"),
+    ]
 
 
 def test_attr_and_the_types():

@@ -12,14 +12,18 @@ from mizthf import (
     Signature, assemble_problem, check_thf, emit_thf, parse_statement,
     translate_statement,
 )
-from mizthf import hol
-from mizthf.declarations import member
+from mizthf import hol, thf, thfcheck
+from mizthf.declarations import Declaration, member
 from mizthf.hol import (
-    All, And, App, Const, Eq, Ex, IllTyped, Imp, IND, Lam, PROP, TOP, Var,
-    apps, fn,
+    All, And, App, Const, Eq, Ex, IllTyped, Imp, IND, Lam, Not, PROP, TOP,
+    Var, apps, fn,
 )
-from mizthf.thf import MangleTable, UndeclaredConstant, render_type
-from mizthf.thfcheck import MAX_DEPTH, _kind, _positions, _texts
+from mizthf.thf import (
+    CACHE_SIZE, MangleTable, Problem, UndeclaredConstant, render_type,
+)
+from mizthf.thfcheck import (
+    MAX_DEPTH, MEMO_LINES, _kind, _lex, _positions, _texts,
+)
 
 from generators import random_statement, rich_signature
 
@@ -34,6 +38,17 @@ def small_sig() -> Signature:
     sig.declare("p", "pred", 1)
     sig.declare("f", "func", 1)
     return sig
+
+
+def clear_emit_caches() -> None:
+    thf._support_lines.clear()
+    thf._mangle.cache_clear()
+    thf.render_type.cache_clear()
+
+
+def clear_check_memo() -> None:
+    thfcheck._memo.clear()
+    thfcheck._seen.clear()
 
 
 def emit(src: str, sig: Signature | None = None,
@@ -292,6 +307,8 @@ def test_check_thf_handles_equality_types():
 ])
 def test_check_thf_tokens(text, tokens):
     toks = _texts(text)
+    for _ in range(3):  # met once, memoized, memoized lines reused
+        assert _lex(text)[0] == toks
     where = _positions(text, set(range(len(toks))))
     assert [(_kind(tok), tok, *where[k])
             for k, tok in enumerate(toks)] == tokens
@@ -366,6 +383,19 @@ def test_check_thf_deep_checks_in_threads():
     text, _ = nest("(", MAX_DEPTH)
     limit, interval = sys.getrecursionlimit(), sys.getswitchinterval()
     results: list[object] = []
+    # and checks that share the memo agree with checks that start cold
+    rng = random.Random(5)
+    sig = rich_signature()
+    emitted = [emit_thf(assemble_problem(
+        translate_statement(random_statement(rng), sig), [], sig))
+        for _ in range(4)]
+    emitted += [t.replace("r2_hidden: $i > $i > $o", "r2_hidden: $i > $o > $o")
+                for t in emitted]
+    cold = {}
+    for t in emitted:
+        clear_check_memo()
+        cold[t] = check_thf(t)
+    shared: list[bool] = []
 
     def work() -> None:
         for _ in range(10):
@@ -373,6 +403,7 @@ def test_check_thf_deep_checks_in_threads():
                 results.append(check_thf(text))
             except RecursionError as e:
                 results.append(e)
+            shared.extend(check_thf(t) == cold[t] for t in emitted)
 
     sys.setswitchinterval(1e-5)
     try:
@@ -385,6 +416,8 @@ def test_check_thf_deep_checks_in_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [[]] * 60
+    assert shared == [True] * 60 * len(emitted)
+    assert any(cold.values())
     assert sys.getrecursionlimit() == limit
 
 
@@ -448,7 +481,7 @@ def test_check_thf_never_raises():
     problems = [emit_thf(assemble_problem(
         translate_statement(random_statement(rng), sig), [], sig))
         for _ in range(20)]
-    texts = []
+    texts = problems * 2  # the memo takes a line met twice
     for _ in range(1200):  # one to four character edits
         chars = list(rng.choice(problems))
         for _ in range(rng.randint(1, 4)):
@@ -465,8 +498,72 @@ def test_check_thf_never_raises():
         opener = rng.choice(["(", "~ ", "! [X: $i] : ", "(c = ", "p @ "])
         n = rng.choice([MAX_DEPTH, MAX_DEPTH + 1, 2 * MAX_DEPTH, 5000])
         texts.append(DECLS + GOAL + opener * n + "c" + ")" * n + ").")
-    for text in texts:
-        diags = check_thf(text)
+    warm = [check_thf(text) for text in texts]
+    assert all(_lex(text)[0] == _texts(text) for text in texts)
+    for text, diags in zip(texts, warm):
         assert isinstance(diags, list)
         for d in diags:
             assert not d.where or _where_is_inside(d.where, text), (d, text)
+        clear_check_memo()
+        assert check_thf(text) == diags, text
+
+
+# ------------------------------------------------------ per-process caches
+
+
+def test_check_memo_rechecks_a_unit_under_changed_declarations():
+    unit = "thf(ax, axiom, (f @ c1))."
+    rest = ("thf(f_tp, type, f: $i > $o).\n" + unit + "\n"
+            "thf(goal, conjecture, $true).")
+    clean = "thf(c1_tp, type, c1: $i).\n" + rest
+    swapped = "thf(c1_tp, type, c1: $o).\n" + rest
+    clear_check_memo()
+    for _ in range(3):
+        assert check_thf(clean) == []
+    assert thfcheck._memo[unit].verdict is not None
+    warm = check_thf(swapped)
+    clear_check_memo()
+    assert warm == check_thf(swapped)
+    assert [d.code for d in warm] == ["ill-typed"]
+
+
+def test_support_lines_follow_the_problem_mangling():
+    # M1 sorts first and takes the word m1, so the Element-of axioms
+    # name m1_2 in the first problem and m1 in the second
+    sig = Signature()
+    sig.declare("c1", "obj")
+    sig.declare("M1", "mode", 2)
+    sig.declare("m1", "mode", 2)
+    sig.tag_elementof("m1")
+    both = emit("statement : M1(c1, c1) & m1(c1, c1)", sig)
+    one = emit("statement : m1(c1, c1)", sig)
+    assert "(m1_2 @ B @ A)" in both and "(m1 @ B @ A)" in one
+    sources = ["M1(c1, c1) & m1(c1, c1)", "m1(c1, c1)",
+               "c1 in {x where x is Element of c1 : m1(x, c1)}",
+               "M1(c1, c1) & c1 in {x where x is Element of c1 : M1(x, c1)}"]
+    warm = [emit("statement : " + sources[k % 4], sig) for k in range(12)]
+    for k, text in enumerate(warm):
+        clear_emit_caches()
+        assert emit("statement : " + sources[k % 4], sig) == text
+
+
+def test_caches_stay_within_their_caps():
+    clear_check_memo()
+    for k in range(MEMO_LINES + 50):
+        text = f"thf(a{k}, axiom, $true).\nthf(goal, conjecture, $true)."
+        check_thf(text)
+        check_thf(text)
+        assert len(thfcheck._memo) <= MEMO_LINES
+        assert len(thfcheck._seen) <= MEMO_LINES
+    assert "thf(a%d, axiom, $true)." % (MEMO_LINES + 49) in thfcheck._memo
+    c = Const("c", o)
+    for k in range(CACHE_SIZE + 50):
+        ax = Not(Not(c)) if k % 2 else Imp(c, c)
+        decl = Declaration("c", o, axioms=((f"ax{k}", ax),))
+        text = emit_thf(Problem("p", (decl,), (), ("goal", TOP)))
+        assert f"thf(ax{k}, axiom, " in text
+        assert len(thf._support_lines) <= CACHE_SIZE
+        assert all(len(lines) <= CACHE_SIZE
+                   for _, _, lines in thf._support_lines.values())
+    for fn_ in (thf._mangle, thf.render_type):
+        assert fn_.cache_info().maxsize == CACHE_SIZE
