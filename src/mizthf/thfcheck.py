@@ -49,11 +49,10 @@ the same type in the problem at hand, and still applies the rules that
 span a problem: duplicate names, the conjecture count, and stray
 characters (which a line with a verdict cannot hold, since no check
 starts on a text with one).  The last line, which has no newline, is
-lexed afresh.
-When a check finds anything, the text is checked again with no memo,
-so every diagnostic comes from the same path as without one.  The memo
-and the set of hashes hold at most ``MEMO_LINES`` entries each; a full
-one is cleared.
+lexed afresh.  When a check finds anything, the text is checked again
+with no memo, so every diagnostic comes from the same path as without
+one.  The memo and the set of hashes hold at most ``MEMO_LINES``
+entries each; a full one is cleared.
 """
 
 from __future__ import annotations
