@@ -256,43 +256,53 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
+# Constructor shapes for ``children`` and ``map_children``, which
+# dispatch on the exact class: they run at every node of every walk.
+_LEAVES = frozenset({Var, Const, Meta, Top})
+_BINDER_TYPES = frozenset(BINDERS)
+_PAIRS = frozenset({And, Or, Imp, Iff})
+
+
 def children(t: Term) -> tuple[Term, ...]:
     """The immediate subterms of ``t``, left to right."""
-    match t:
-        case App(f, a):
-            return (f, a)
-        case Var() | Const() | Meta() | Top():
-            return ()
-        case Lam(_, _, b) | All(_, _, b) | Ex(_, _, b):
-            return (b,)
-        case Eq(l, r, _) | And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            return (l, r)
-        case Not(a):
-            return (a,)
+    cls = type(t)
+    if cls is App:
+        return (t.fn, t.arg)
+    if cls in _LEAVES:
+        return ()
+    if cls in _BINDER_TYPES:
+        return (t.body,)
+    if cls in _PAIRS or cls is Eq:
+        return (t.lhs, t.rhs)
+    if cls is Not:
+        return (t.arg,)
     raise TypeError(f"unexpected term {t!r}")
 
 
 def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
     """``t`` rebuilt with ``f`` applied to each immediate subterm; ``t``
     itself when every subterm comes back unchanged."""
-    match t:
-        case App(g, a):
-            g2, a2 = f(g), f(a)
-            return t if g2 is g and a2 is a else App(g2, a2)
-        case Var() | Const() | Meta() | Top():
+    cls = type(t)
+    if cls is App:
+        g, a = t.fn, t.arg
+        g2, a2 = f(g), f(a)
+        return t if g2 is g and a2 is a else App(g2, a2)
+    if cls in _LEAVES:
+        return t
+    if cls in _BINDER_TYPES:
+        b = t.body
+        b2 = f(b)
+        return t if b2 is b else cls(t.var, t.var_type, b2)
+    if cls in _PAIRS or cls is Eq:
+        l, r = t.lhs, t.rhs
+        l2, r2 = f(l), f(r)
+        if l2 is l and r2 is r:
             return t
-        case Lam(v, ty, b) | All(v, ty, b) | Ex(v, ty, b):
-            b2 = f(b)
-            return t if b2 is b else type(t)(v, ty, b2)
-        case Eq(l, r, ty):
-            l2, r2 = f(l), f(r)
-            return t if l2 is l and r2 is r else Eq(l2, r2, ty)
-        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            l2, r2 = f(l), f(r)
-            return t if l2 is l and r2 is r else type(t)(l2, r2)
-        case Not(a):
-            a2 = f(a)
-            return t if a2 is a else Not(a2)
+        return Eq(l2, r2, t.at_type) if cls is Eq else cls(l2, r2)
+    if cls is Not:
+        a = t.arg
+        a2 = f(a)
+        return t if a2 is a else Not(a2)
     raise TypeError(f"unexpected term {t!r}")
 
 
@@ -435,6 +445,20 @@ class UnboundName(HolTypeError):
         super().__init__(f"unbound name {name!r}")
 
 
+# Where ``type_of`` is in the term: "root", or a (parent, ".field")
+# pair, rendered as a path only when ``IllTyped`` is raised.
+_Where = str | tuple
+
+
+def _path(where: _Where) -> str:
+    """``(("root", ".fn"), ".arg")`` as ``"root.fn.arg"``."""
+    steps = []
+    while not isinstance(where, str):
+        where, step = where
+        steps.append(step)
+    return where + "".join(reversed(steps))
+
+
 def type_of(t: Term, ctx: TypingContext) -> Type:
     """The unique type of ``t``.
 
@@ -443,62 +467,49 @@ def type_of(t: Term, ctx: TypingContext) -> Type:
     trusted at their annotation (their namespace is not ``ctx``'s).
     """
 
-    def go(t: Term, bound: dict[str, Type], path: str) -> Type:
+    def want(expected: Type, found: Type, where: _Where) -> None:
+        if found != expected:
+            raise IllTyped(_path(where), expected, found)
+
+    def go(t: Term, bound: dict[str, Type], where: _Where) -> Type:
         match t:
-            case Var(n, ty):
-                declared = bound.get(n, ctx.get(n))
+            case Var(n, ty) | Const(n, ty):
+                declared = (bound.get(n, ctx.get(n)) if isinstance(t, Var)
+                            else ctx.get(n))
                 if declared is None:
                     raise UnboundName(n)
                 if declared != ty:
-                    raise IllTyped(f"{path}:{n}", declared, ty)
-                return ty
-            case Const(n, ty):
-                declared = ctx.get(n)
-                if declared is None:
-                    raise UnboundName(n)
-                if declared != ty:
-                    raise IllTyped(f"{path}:{n}", declared, ty)
+                    raise IllTyped(f"{_path(where)}:{n}", declared, ty)
                 return ty
             case Meta(_, ty):
                 return ty
             case Top():
                 return PROP
             case App(f, a):
-                ft = go(f, bound, path + ".fn")
-                at = go(a, bound, path + ".arg")
+                ft = go(f, bound, (where, ".fn"))
+                at = go(a, bound, (where, ".arg"))
                 if not isinstance(ft, FnType):
-                    raise IllTyped(path, "a function type", ft)
-                if ft.dom != at:
-                    raise IllTyped(path + ".arg", ft.dom, at)
+                    raise IllTyped(_path(where), "a function type", ft)
+                want(ft.dom, at, (where, ".arg"))
                 return ft.cod
             case Lam(v, ty, b):
-                bt = go(b, {**bound, v: ty}, path + ".body")
-                return FnType(ty, bt)
+                return FnType(ty, go(b, {**bound, v: ty}, (where, ".body")))
             case Eq(l, r, ty):
-                lt = go(l, bound, path + ".lhs")
-                rt = go(r, bound, path + ".rhs")
-                if lt != ty:
-                    raise IllTyped(path + ".lhs", ty, lt)
-                if rt != ty:
-                    raise IllTyped(path + ".rhs", ty, rt)
+                lt = go(l, bound, (where, ".lhs"))
+                rt = go(r, bound, (where, ".rhs"))
+                want(ty, lt, (where, ".lhs"))
+                want(ty, rt, (where, ".rhs"))
                 return PROP
             case Not(a):
-                at = go(a, bound, path + ".arg")
-                if at != PROP:
-                    raise IllTyped(path + ".arg", PROP, at)
+                want(PROP, go(a, bound, (where, ".arg")), (where, ".arg"))
                 return PROP
             case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                lt = go(l, bound, path + ".lhs")
-                if lt != PROP:
-                    raise IllTyped(path + ".lhs", PROP, lt)
-                rt = go(r, bound, path + ".rhs")
-                if rt != PROP:
-                    raise IllTyped(path + ".rhs", PROP, rt)
+                want(PROP, go(l, bound, (where, ".lhs")), (where, ".lhs"))
+                want(PROP, go(r, bound, (where, ".rhs")), (where, ".rhs"))
                 return PROP
             case All(v, ty, b) | Ex(v, ty, b):
-                bt = go(b, {**bound, v: ty}, path + ".body")
-                if bt != PROP:
-                    raise IllTyped(path + ".body", PROP, bt)
+                body = (where, ".body")
+                want(PROP, go(b, {**bound, v: ty}, body), body)
                 return PROP
         raise TypeError(f"unexpected term {t!r}")
 

@@ -7,10 +7,14 @@ generality scheme application needs: the scheme's outer universals
 become metavariables, the conjecture is ground, and the matcher
 recovers the instantiation or reports precisely why there is none.
 
-Disagreement pairs are solved eagerly left to right.  Solving the pair
-``M x1 .. xn  =?  t`` binds ``M := \\x1 .. xn. t`` provided every free
-variable of ``t`` is among the spine; a leftover bound variable cannot
-be abstracted and raises ``OccursEscape``.
+Disagreement pairs are solved eagerly left to right.  Bound variables
+are compared by de Bruijn level, as ``hol.alpha_eq`` compares them:
+stepping under a pair of binders records the level that each side's
+name now stands for, so no body is renamed or substituted.  Solving
+the pair ``M x1 .. xn  =?  t`` binds ``M := \\y1 .. yn. t``, where
+``yi`` is the ground side's name for the level of ``xi``, provided every
+free variable of ``t`` stands for a spine level; a leftover bound
+variable cannot be abstracted and raises ``OccursEscape``.
 """
 
 from __future__ import annotations
@@ -19,11 +23,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from . import hol
-from .hol import All, Const, Eq, Imp, Meta, Var
+from .hol import All, App, Const, Eq, Imp, Meta, Var
 
 
 class MatchError(Exception):
-    pass
+    """Raised with the message in parts (text, terms and types) that
+    are joined only when it is read: a failed peel attempt discards
+    its ``NoMatch`` unread."""
+
+    def __str__(self) -> str:
+        return "".join(map(str, self.args))
 
 
 class NotAPattern(MatchError):
@@ -146,74 +155,97 @@ def pattern_match(pairs: Iterable[DisagreementPair]) -> Substitution:
     """Solve the pairs, matching pattern left sides against ground right
     sides.  Raises ``NotAPattern``, ``OccursEscape`` or ``NoMatch``."""
     sigma: dict[Meta, hol.Term] = {}
+    # One entry per level, outermost first: the ground side's name for
+    # the level's variable and its type.  ``lv`` and ``rv`` map each
+    # side's names to the level that binds them now.
+    levels: list[tuple[str, hol.Type]] = []
 
-    def resolve(t: hol.Term) -> hol.Term:
-        # only re-normalize when a solved metavariable heads the spine
-        head, _ = hol.spine(t)
-        if isinstance(head, Meta) and head in sigma:
-            return hol.beta_normalize(subst_metas(t, sigma))
-        return t
-
-    def solve(ctx: dict[str, hol.Type], lhs: hol.Term,
-              rhs: hol.Term) -> None:
-        lhs = resolve(lhs)
-        head, args = hol.spine(lhs)
-        if isinstance(head, Meta):
-            solve_flex(ctx, head, args, rhs)
-            return
+    def solve(lhs: hol.Term, rhs: hol.Term, lv: dict[str, int],
+              rv: dict[str, int]) -> None:
+        if isinstance(lhs, (App, Meta)):
+            head, args = hol.spine(lhs)
+            if isinstance(head, Meta):
+                if head not in sigma:
+                    solve_flex(head, args, rhs, lv, rv)
+                    return
+                # a solved metavariable heads the spine: re-normalize
+                lhs = hol.beta_normalize(subst_metas(lhs, sigma))
+                head, args = hol.spine(lhs)
+                if isinstance(head, Meta):
+                    solve_flex(head, args, rhs, lv, rv)
+                    return
         if type(lhs) is not type(rhs):
-            raise NoMatch(f"rigid heads differ: {lhs} against {rhs}")
-        if isinstance(lhs, (Var, Const)):
+            raise NoMatch("rigid heads differ: ", lhs, " against ", rhs)
+        if isinstance(lhs, Var):
+            l1, l2 = lv.get(lhs.name), rv.get(rhs.name)
+            if l1 != l2 or l1 is None and lhs != rhs:
+                raise NoMatch(f"variables {lhs.name!r} and {rhs.name!r} "
+                              "differ")
+            return
+        if isinstance(lhs, Const):
             if lhs != rhs:
-                kind = "variables" if isinstance(lhs, Var) else "constants"
-                raise NoMatch(f"{kind} {lhs.name!r} and {rhs.name!r} differ")
+                raise NoMatch(f"constants {lhs.name!r} and {rhs.name!r} "
+                              "differ")
             return
         if isinstance(lhs, hol.BINDERS):
-            ty1, ty2 = lhs.var_type, rhs.var_type
-            if ty1 != ty2:
-                raise NoMatch(f"binder types {ty1} and {ty2} differ")
-            name = lhs.var
-            if name in ctx or name != rhs.var:
-                name = hol.fresh_name(
-                    lhs.var, set(ctx) | hol.free_names(lhs.body)
-                    | hol.free_names(rhs.body))
-            fresh = Var(name, ty1)
-            solve({**ctx, name: ty1},
-                  hol.subst_var(lhs.body, lhs.var, fresh),
-                  hol.subst_var(rhs.body, rhs.var, fresh))
+            ty = lhs.var_type
+            if ty != rhs.var_type:
+                raise NoMatch("binder types ", ty, " and ", rhs.var_type,
+                              " differ")
+            d = len(levels)
+            levels.append((rhs.var, ty))
+            solve(lhs.body, rhs.body, {**lv, lhs.var: d}, {**rv, rhs.var: d})
+            levels.pop()
             return
         if isinstance(lhs, Eq) and lhs.at_type != rhs.at_type:
-            raise NoMatch(f"equality types {lhs.at_type} and {rhs.at_type} "
-                          "differ")
+            raise NoMatch("equality types ", lhs.at_type, " and ",
+                          rhs.at_type, " differ")
         for l, r in zip(hol.children(lhs), hol.children(rhs)):
-            solve(ctx, l, r)
+            solve(l, r, lv, rv)
 
-    def solve_flex(ctx: dict[str, hol.Type], meta: Meta,
-                   args: list[hol.Term], rhs: hol.Term) -> None:
-        spine_names = []
+    def solve_flex(meta: Meta, args: list[hol.Term], rhs: hol.Term,
+                   lv: dict[str, int], rv: dict[str, int]) -> None:
+        spine: list[int] = []
         for a in args:
-            if not (isinstance(a, Var) and a.name in ctx):
+            level = lv.get(a.name) if isinstance(a, Var) else None
+            if level is None:
                 raise NotAPattern(f"?{meta.name} applied to {a}, not a "
                                   "bound variable")
-            spine_names.append(a.name)
-        if len(set(spine_names)) != len(spine_names):
+            spine.append(level)
+        if len(set(spine)) != len(spine):
             raise NotAPattern(f"?{meta.name} applied to repeated variables")
-        for name, _ in sorted(hol.free_vars(rhs), key=lambda p: p[0]):
-            if name not in spine_names:
+        for name in sorted(hol.free_names(rhs)):
+            if rv.get(name) not in spine:
                 raise OccursEscape(meta.name, name)
-        value = hol.lams([(a.name, a.type) for a in args], rhs)
-        found = hol.type_of(value, hol.ambient_context(value))
+        # Abstract each spine level under the name the ground side uses
+        # for it, so ``rhs`` needs no renaming.  A level whose name is
+        # shadowed there occurs in ``rhs`` under no name; it gets a name
+        # no other level can reach.
+        binders: list[tuple[str, hol.Type]] = []
+        taken: set[str] = set()
+        for level in spine:
+            name, ty = levels[level]
+            if rv.get(name) != level:
+                name = hol.fresh_name(name, taken | rv.keys())
+            taken.add(name)
+            binders.append((name, ty))
+        value = hol.lams(binders, rhs)
+        ctx: dict[str, hol.Type] = {}
+        hol.collect_constants(ctx, value)
+        found = hol.type_of(value, ctx)
         if found != meta.type:
-            raise NoMatch(f"?{meta.name} wants type {meta.type}, solution "
-                          f"has {found}")
+            raise NoMatch(f"?{meta.name} wants type ", meta.type,
+                          ", solution has ", found)
         sigma[meta] = value
 
     for pair in pairs:
         if hol.metas(pair.rhs):
             raise ValueError("right sides must be ground")
-        ctx = dict(pair.context)
-        solve(ctx, hol.beta_normalize(subst_metas(pair.lhs, sigma)),
-              hol.beta_normalize(pair.rhs))
+        levels[:] = pair.context
+        names = {name: level for level, (name, _) in enumerate(pair.context)}
+        lhs = subst_metas(pair.lhs, sigma) if sigma else pair.lhs
+        solve(hol.beta_normalize(lhs), hol.beta_normalize(pair.rhs),
+              names, names)
     return Substitution._checked(sigma)
 
 
@@ -223,17 +255,31 @@ def strip_outer_quantifiers(formula: hol.Term,
     named after the binders.  Returns the metavariables in binding
     order together with the opened matrix."""
     metas: list[Meta] = []
-    used: set[str] = set()
+    opened: dict[str, Meta] = {}
     t = formula
     for i in range(k):
         if not isinstance(t, All):
             raise ShapeMismatch(f"wanted {k} outer universals, found {i}")
-        name = hol.fresh_name(t.var, used)
-        used.add(name)
-        m = Meta(name, t.var_type)
+        m = Meta(hol.fresh_name(t.var, {m.name for m in metas}), t.var_type)
         metas.append(m)
-        t = hol.subst_var(t.body, t.var, m)
-    return metas, t
+        opened[t.var] = m
+        t = t.body
+    return metas, _open(t, opened)
+
+
+def _open(t: hol.Term, opened: Mapping[str, Meta]) -> hol.Term:
+    """``t`` with each free variable named in ``opened`` replaced by its
+    metavariable; a metavariable is closed, so nothing is captured."""
+
+    def go(t: hol.Term) -> hol.Term:
+        if isinstance(t, Var):
+            return opened.get(t.name, t)
+        if isinstance(t, hol.BINDERS) and t.var in opened:
+            inner = {n: m for n, m in opened.items() if n != t.var}
+            return hol.map_children(t, lambda b: _open(b, inner))
+        return hol.map_children(t, go)
+
+    return go(t) if opened else t
 
 
 @dataclass(frozen=True)

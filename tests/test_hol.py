@@ -73,6 +73,25 @@ def test_typing_rejects_bad_terms():
         type_of(And(TOP, x), ctx)
 
 
+@pytest.mark.parametrize("term, location", [
+    (All("x", IND, Imp(App(p, x), And(TOP, App(p, App(f, Var("x", PROP)))))),
+     "root.body.rhs.rhs.arg.arg:x"),
+    (Lam("x", IND, Eq(App(f, x), App(App(f, x), c), IND)), "root.body.rhs"),
+    (Ex("y", IND, Not(Or(TOP, Eq(y, TOP, IND)))), "root.body.arg.rhs.rhs"),
+    (All("x", IND, Iff(TOP, Lam("y", IND, TOP))), "root.body.rhs"),
+    (And(TOP, Not(App(p, Const("c", PROP)))), "root.rhs.arg.arg:c"),
+    (Eq(Lam("x", IND, App(p, x)), Lam("x", IND, Not(App(f, x))),
+        fn(IND, PROP)), "root.rhs.body.arg"),
+    (App(Lam("x", IND, App(p, x)), TOP), "root.arg"),
+    (Imp(Ex("x", IND, App(p, x)), All("x", IND, App(f, x))), "root.rhs.body"),
+])
+def test_ill_typed_locations(term, location):
+    with pytest.raises(IllTyped) as exc:
+        type_of(term, {"p": fn(IND, PROP), "f": fn(IND, IND), "c": IND})
+    assert exc.value.location == location
+    assert str(exc.value).startswith(f"at {location}: expected ")
+
+
 def test_ambient_context_collects_annotations():
     t = And(App(p, x), Eq(c, c, IND))
     ctx = ambient_context(t)

@@ -338,3 +338,172 @@ def test_arbitrary_pairs_terminate():
         except MatchError:
             outcomes["fail"] += 1
     assert outcomes["fail"] > 0
+
+
+# ---------------------------------------------------------- level maps
+
+
+def _rename_binders(t, rng, pool=("x", "y", "v")):
+    """``t`` with every binder renamed to a name from ``pool`` that no
+    free variable of its body uses; an outer binder of the same name is
+    shadowed."""
+    if isinstance(t, hol.BINDERS):
+        body = _rename_binders(t.body, rng, pool)
+        free = hol.free_names(body) - {t.var}
+        name = rng.choice([n for n in pool if n not in free] or [t.var])
+        body = hol.subst_var(body, t.var, Var(name, t.var_type))
+        return type(t)(name, t.var_type, body)
+    return hol.map_children(t, lambda c: _rename_binders(c, rng, pool))
+
+
+def _shadows(t, bound=frozenset()):
+    if isinstance(t, hol.BINDERS):
+        return t.var in bound or _shadows(t.body, bound | {t.var})
+    return any(_shadows(c, bound) for c in hol.children(t))
+
+
+def test_renamed_ground_binders_match_alike():
+    rng = random.Random(8080)
+    shadowed = 0
+    for _ in range(2000):
+        pattern, ground, solution = planted_problem(rng)
+        renamed = _rename_binders(ground, rng)
+        assert hol.alpha_eq(renamed, ground)
+        shadowed += _shadows(renamed)
+        sigma = pattern_match([pair(pattern, renamed)])
+        assert sigma == pattern_match([pair(pattern, ground)])
+        assert sigma == Substitution(solution)
+    assert shadowed > 100
+
+
+def test_spine_name_shadowed_inside_the_matched_body():
+    q = Const("q", fn(i, i, o))
+    y = Var("y", i)
+    P = Meta("P", fn(i, o))
+    sigma = pattern_match([pair(
+        All("x", i, App(P, Var("x", i))),
+        All("y", i, And(App(p1, y), Ex("y", i, apps(q, y, y)))))])
+    assert hol.alpha_eq(sigma[P], Lam("z", i, And(
+        App(p1, Var("z", i)), Ex("y", i, apps(q, y, y)))))
+    # the ground side reaches only its inner "y"; the outer level still
+    # gets a binder of its own
+    R = Meta("R", fn(i, i, o))
+    sigma = pattern_match([pair(
+        All("a", i, All("b", i, apps(R, Var("b", i), Var("a", i)))),
+        All("y", i, All("y", i, App(p1, y))))])
+    assert hol.alpha_eq(sigma[R], lams([("s", i), ("t", i)],
+                                       App(p1, Var("s", i))))
+    # there "y" is the inner level, which the spine leaves out
+    with pytest.raises(OccursEscape):
+        pattern_match([pair(All("a", i, All("b", i, App(P, Var("a", i)))),
+                            All("y", i, All("y", i, App(p1, y))))])
+
+
+def test_pair_with_a_context():
+    x, y = Var("x", i), Var("y", i)
+    P, A = Meta("P", fn(i, o)), Meta("A", i)
+    ctx = [("x", i), ("y", i)]
+    sigma = pattern_match([pair(And(App(P, x), Eq(A, y, i)),
+                                And(App(p1, x), Eq(c1, y, i)), ctx)])
+    assert hol.alpha_eq(sigma[P], Lam("z", i, App(p1, Var("z", i))))
+    assert sigma[A] == c1
+    with pytest.raises(OccursEscape) as exc:
+        pattern_match([pair(App(P, x), Eq(x, y, i), ctx)])
+    assert exc.value.var == "y"
+    with pytest.raises(NoMatch):
+        pattern_match([pair(Eq(x, c1, i), Eq(y, c1, i), ctx)])
+    # a binder shadows the context entry of its name
+    sigma = pattern_match([pair(All("x", i, App(P, x)),
+                                All("x", i, App(p1, x)), ctx)])
+    assert hol.alpha_eq(sigma[P], Lam("z", i, App(p1, Var("z", i))))
+    with pytest.raises(NotAPattern):
+        pattern_match([pair(App(P, Var("w", i)), App(p1, c1), ctx)])
+
+
+def _refuse(*args):
+    raise AssertionError("matching renamed a bound variable")
+
+
+def test_matching_under_binders_never_substitutes(monkeypatch):
+    rng = random.Random(31)
+    problems = []
+    while len(problems) < 200:
+        pattern, ground, solution = planted_problem(rng)
+        occurrences = [s for s in hol.subterms(pattern)
+                       if isinstance(s, Meta)]
+        if (len(occurrences) == len(solution)
+                and hol.beta_normalize(pattern) == pattern):
+            problems.append((pattern, ground, solution))
+    deep = [("x", i), ("y", i), ("x", i), ("z", i)]
+    R = Meta("R", fn(i, i, i, o))
+    q = Const("q", fn(i, i, i, o))
+    heavy = (hol.foralls(deep, Ex("w", i, apps(
+                 R, Var("w", i), Var("x", i), Var("z", i)))),
+             hol.foralls([("a", i), ("b", i), ("c", i), ("d", i)], Ex(
+                 "e", i, apps(q, Var("c", i), Var("d", i), Var("e", i)))))
+    for name in ("subst_var", "fresh_name"):
+        monkeypatch.setattr(hol, name, _refuse)
+    for pattern, ground, solution in problems:
+        assert pattern_match([pair(pattern, ground)]) == Substitution(
+            solution)
+    sigma = pattern_match([pair(*heavy)])
+    monkeypatch.undo()
+    assert hol.alpha_eq(sigma[R], lams(
+        [("e", i), ("c", i), ("d", i)],
+        apps(q, Var("c", i), Var("d", i), Var("e", i))))
+
+
+# ------------------------------------------------------------ messages
+
+
+@pytest.mark.parametrize("pairs, text", [
+    ([pair(All("x", i, And(App(Meta("P", fn(i, o)), Var("x", i)),
+                           Eq(Var("x", i), c1, i))),
+           All("x", i, And(App(p1, Var("x", i)),
+                           Not(Eq(Var("x", i), c1, i)))))],
+     "rigid heads differ: x = c1 against ¬x = c1"),
+    ([pair(Eq(Meta("A", i), c1, i), Eq(c2, c2, i))],
+     "constants 'c1' and 'c2' differ"),
+    ([pair(All("x", i, Top()), All("x", fn(i, o), Top()))],
+     "binder types ι and ι→o differ"),
+    ([pair(Eq(Meta("A", i), c1, i), Eq(Top(), Top(), o))],
+     "equality types ι and o differ"),
+    ([pair(All("x", i, Eq(App(Meta("M", i), Var("x", i)), Var("x", i), i)),
+           All("x", i, Eq(App(f1, Var("x", i)), Var("x", i), i)))],
+     "?M wants type ι, solution has ι→ι"),
+    ([pair(All("x", i, All("y", i, App(Meta("P", fn(i, o)),
+                                       Var("x", i)))),
+           All("x", i, All("y", i, Eq(Var("x", i), Var("y", i), i))))],
+     "bound variable 'y' escapes the spine of ?P"),
+    ([pair(All("x", i, All("y", i, Eq(Var("x", i), Var("y", i), i))),
+           All("x", i, All("y", i, Eq(Var("y", i), Var("y", i), i))))],
+     "variables 'x' and 'y' differ"),
+    ([pair(App(Meta("P", fn(i, o)), c1), App(p1, c1))],
+     "?P applied to c1, not a bound variable"),
+    # each side shows its own binder names
+    ([pair(All("x", i, Eq(Meta("A", i), Var("x", i), i)),
+           All("y", i, Eq(c1, c1, i)))],
+     "rigid heads differ: x against c1"),
+])
+def test_match_error_texts(pairs, text):
+    with pytest.raises(MatchError) as exc:
+        pattern_match(pairs)
+    assert str(exc.value) == text
+
+
+def test_no_match_text_is_rendered_only_when_read(monkeypatch):
+    shown = []
+    show_term = hol.show_term
+    monkeypatch.setattr(hol, "show_term",
+                        lambda t: shown.append(t) or show_term(t))
+    lhs = And(Eq(Meta("A", i), c1, i), Eq(c1, c1, i))
+    rhs = And(Eq(c2, c1, i), Not(Eq(c1, c1, i)))
+    with pytest.raises(NoMatch) as exc:
+        pattern_match([pair(lhs, rhs)])
+    assert shown == []
+    assert str(exc.value) == "rigid heads differ: c1 = c1 against ¬c1 = c1"
+    assert shown
+    shown.clear()
+    got = recover_scheme_instantiation(subset_scheme(), Ex(
+        "y", i, App(p1, Var("y", i))), 2)
+    assert len(got.side_conditions) == 1 and shown == []
