@@ -69,6 +69,8 @@ _LEXEME = re.compile(r"""
 # three, a function application one).  With ``bound_chains`` each
 # ``not`` and connective link charges one level too: the parser builds
 # those iteratively, but the layers after it recurse once per level.
+# A level stands for about one Python frame of those layers, which
+# take one per ``not`` or link and about three per application.
 _MAX_DEPTH = 600
 _RULE_LEVELS = 3
 
@@ -179,7 +181,7 @@ _LEVEL = {(kind, text): level
 
 class _Parser:
     def __init__(self, tokens: list[Token], sig: Signature,
-                 bound_chains: bool = False):
+                 bound_chains: bool):
         self.toks = tokens
         self.pos = 0
         self.sig = sig
