@@ -256,53 +256,43 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
-# Constructor shapes for ``children`` and ``map_children``, which
-# dispatch on the exact class: they run at every node of every walk.
-_LEAVES = frozenset({Var, Const, Meta, Top})
-_BINDER_TYPES = frozenset(BINDERS)
-_PAIRS = frozenset({And, Or, Imp, Iff})
-
-
 def children(t: Term) -> tuple[Term, ...]:
     """The immediate subterms of ``t``, left to right."""
-    cls = type(t)
-    if cls is App:
-        return (t.fn, t.arg)
-    if cls in _LEAVES:
-        return ()
-    if cls in _BINDER_TYPES:
-        return (t.body,)
-    if cls in _PAIRS or cls is Eq:
-        return (t.lhs, t.rhs)
-    if cls is Not:
-        return (t.arg,)
+    match t:
+        case App(f, a):
+            return (f, a)
+        case Var() | Const() | Meta() | Top():
+            return ()
+        case Lam(_, _, b) | All(_, _, b) | Ex(_, _, b):
+            return (b,)
+        case Eq(l, r, _) | And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+            return (l, r)
+        case Not(a):
+            return (a,)
     raise TypeError(f"unexpected term {t!r}")
 
 
 def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
     """``t`` rebuilt with ``f`` applied to each immediate subterm; ``t``
     itself when every subterm comes back unchanged."""
-    cls = type(t)
-    if cls is App:
-        g, a = t.fn, t.arg
-        g2, a2 = f(g), f(a)
-        return t if g2 is g and a2 is a else App(g2, a2)
-    if cls in _LEAVES:
-        return t
-    if cls in _BINDER_TYPES:
-        b = t.body
-        b2 = f(b)
-        return t if b2 is b else cls(t.var, t.var_type, b2)
-    if cls in _PAIRS or cls is Eq:
-        l, r = t.lhs, t.rhs
-        l2, r2 = f(l), f(r)
-        if l2 is l and r2 is r:
+    match t:
+        case App(g, a):
+            g2, a2 = f(g), f(a)
+            return t if g2 is g and a2 is a else App(g2, a2)
+        case Var() | Const() | Meta() | Top():
             return t
-        return Eq(l2, r2, t.at_type) if cls is Eq else cls(l2, r2)
-    if cls is Not:
-        a = t.arg
-        a2 = f(a)
-        return t if a2 is a else Not(a2)
+        case Lam(v, ty, b) | All(v, ty, b) | Ex(v, ty, b):
+            b2 = f(b)
+            return t if b2 is b else type(t)(v, ty, b2)
+        case Eq(l, r, ty):
+            l2, r2 = f(l), f(r)
+            return t if l2 is l and r2 is r else Eq(l2, r2, ty)
+        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+            l2, r2 = f(l), f(r)
+            return t if l2 is l and r2 is r else type(t)(l2, r2)
+        case Not(a):
+            a2 = f(a)
+            return t if a2 is a else Not(a2)
     raise TypeError(f"unexpected term {t!r}")
 
 

@@ -301,10 +301,10 @@ def recover_scheme_instantiation(scheme: hol.Term, conjecture: hol.Term,
         raise ValueError("conjecture must be ground")
     _, matrix = strip_outer_quantifiers(scheme, k)
     hypotheses: list[hol.Term] = []
-    goal = hol.beta_normalize(conjecture)
     while True:
         try:
-            sigma = pattern_match([DisagreementPair((), matrix, goal)])
+            # pattern_match normalizes the conjecture itself
+            sigma = pattern_match([DisagreementPair((), matrix, conjecture)])
             break
         except NoMatch as e:
             if isinstance(matrix, Imp):
