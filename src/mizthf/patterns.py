@@ -164,16 +164,13 @@ def pattern_match(pairs: Iterable[DisagreementPair]) -> Substitution:
               rv: dict[str, int]) -> None:
         if isinstance(lhs, (App, Meta)):
             head, args = hol.spine(lhs)
-            if isinstance(head, Meta):
-                if head not in sigma:
-                    solve_flex(head, args, rhs, lv, rv)
-                    return
+            if isinstance(head, Meta) and head in sigma:
                 # a solved metavariable heads the spine: re-normalize
                 lhs = hol.beta_normalize(subst_metas(lhs, sigma))
                 head, args = hol.spine(lhs)
-                if isinstance(head, Meta):
-                    solve_flex(head, args, rhs, lv, rv)
-                    return
+            if isinstance(head, Meta):
+                solve_flex(head, args, rhs, lv, rv)
+                return
         if type(lhs) is not type(rhs):
             raise NoMatch("rigid heads differ: ", lhs, " against ", rhs)
         if isinstance(lhs, Var):
