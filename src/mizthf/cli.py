@@ -52,13 +52,8 @@ def _load(path: str, parse: Callable[..., _T], *args: object) -> _T:
         raise
 
 
-def _parse_statement(text: str, sig: Signature) -> MStatement:
-    # every command walks the statement with the recursive later layers
-    return parse_statement(text, sig, bound_chains=True)
-
-
 def _well_formed_statement(text: str, sig: Signature) -> MStatement:
-    statement = _parse_statement(text, sig)
+    statement = parse_statement(text, sig)
     diags = well_formed(statement, sig)
     if diags:
         raise SourceError("; ".join(str(d) for d in diags))
@@ -87,7 +82,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     status = 0
     for path in args.files:
         try:
-            statement = _load(path, _parse_statement, sig)
+            statement = _load(path, parse_statement, sig)
         except SourceError as e:
             print(_positioned(e), file=sys.stderr)
             status = 1

@@ -435,18 +435,20 @@ class UnboundName(HolTypeError):
         super().__init__(f"unbound name {name!r}")
 
 
-# Where ``type_of`` is in the term: "root", or a (parent, ".field")
-# pair, rendered as a path only when ``IllTyped`` is raised.
+# A node's path as its parent's path and a field, with the index in a
+# tuple field; a string only at the root.  Rendered only for an error
+# or a diagnostic (``type_of`` here, ``mizar.well_formed``).
 _Where = str | tuple
 
 
 def _path(where: _Where) -> str:
-    """``(("root", ".fn"), ".arg")`` as ``"root.fn.arg"``."""
-    steps = []
+    """``(("body", ".lhs"), ".args", 0)`` as ``"body.lhs.args[0]"``."""
+    parts = []
     while not isinstance(where, str):
-        where, step = where
-        steps.append(step)
-    return where + "".join(reversed(steps))
+        parts.append(where[1] if len(where) == 2
+                     else f"{where[1]}[{where[2]}]")
+        where = where[0]
+    return where + "".join(reversed(parts))
 
 
 def type_of(t: Term, ctx: TypingContext) -> Type:
@@ -463,9 +465,15 @@ def type_of(t: Term, ctx: TypingContext) -> Type:
 
     def go(t: Term, bound: dict[str, Type], where: _Where) -> Type:
         match t:
-            case Var(n, ty) | Const(n, ty):
-                declared = (bound.get(n, ctx.get(n)) if isinstance(t, Var)
-                            else ctx.get(n))
+            case Var(n, ty):
+                declared = bound.get(n, ctx.get(n))
+                if declared is None:
+                    raise UnboundName(n)
+                if declared != ty:
+                    raise IllTyped(f"{_path(where)}:{n}", declared, ty)
+                return ty
+            case Const(n, ty):
+                declared = ctx.get(n)
                 if declared is None:
                     raise UnboundName(n)
                 if declared != ty:

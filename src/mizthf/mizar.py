@@ -351,19 +351,6 @@ class MStatement:
 
 # scope values: (OBJ, 0) for object variables, (FUNC, n), (PRED, n)
 _Scope = dict[str, tuple[str, int]]
-# a node's path as its parent's path and a field, with the index in a
-# tuple field; a string only at the root.  Rendered only for a diagnostic.
-_Where = str | tuple
-
-
-def _path(where: _Where) -> str:
-    """``(("body", ".lhs"), ".args", 0)`` as ``"body.lhs.args[0]"``."""
-    parts = []
-    while not isinstance(where, str):
-        parts.append(where[1] if len(where) == 2
-                     else f"{where[1]}[{where[2]}]")
-        where = where[0]
-    return where + "".join(reversed(parts))
 
 
 def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
@@ -376,10 +363,10 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
     """
     out: list[Diagnostic] = []
 
-    def bad(code: str, message: str, where: _Where) -> None:
-        out.append(Diagnostic(code, message, _path(where)))
+    def bad(code: str, message: str, where: hol._Where) -> None:
+        out.append(Diagnostic(code, message, hol._path(where)))
 
-    def check_type(t: MType, scope: _Scope, where: _Where) -> None:
+    def check_type(t: MType, scope: _Scope, where: hol._Where) -> None:
         match t:
             case SetType():
                 pass
@@ -405,7 +392,7 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
             case _:
                 bad("bad-node", f"not an MType: {t!r}", where)
 
-    def check_term(t: MTerm, scope: _Scope, where: _Where) -> None:
+    def check_term(t: MTerm, scope: _Scope, where: hol._Where) -> None:
         match t:
             case ObjVar(name):
                 got = scope.get(name)
@@ -472,7 +459,7 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
             case _:
                 bad("bad-node", f"not an MTerm: {t!r}", where)
 
-    def check_prop(p: MProp, scope: _Scope, where: _Where) -> None:
+    def check_prop(p: MProp, scope: _Scope, where: hol._Where) -> None:
         match p:
             case PredVarApp(name, args):
                 got = scope.get(name)

@@ -64,15 +64,7 @@ _LEXEME = re.compile(r"""
   | (?P<stray>.)
 """, re.VERBOSE)
 
-# The nesting budget, in levels.  Each recursive rule in progress
-# charges ``_RULE_LEVELS`` (a parenthesis two rules, a quantifier block
-# three, a function application one).  With ``bound_chains`` each
-# ``not`` and connective link charges one level too: the parser builds
-# those iteratively, but the layers after it recurse once per level.
-# A level stands for about one Python frame of those layers, which
-# take one per ``not`` or link and about three per application.
-_MAX_DEPTH = 600
-_RULE_LEVELS = 3
+_MAX_DEPTH = 200
 
 
 class Token(NamedTuple):
@@ -157,15 +149,11 @@ def _check_name(name: str, line: int, col: int) -> str:
     return name
 
 
-def parse_statement(text: str, sig: Signature, *,
-                    bound_chains: bool = False) -> MStatement:
+def parse_statement(text: str, sig: Signature) -> MStatement:
     """Parse one scheme or bare statement, resolving names against the
     scheme header and ``sig``.  Raises a ``SourceError`` subclass with a
-    position on any malformed or unresolvable input, input nested past
-    the budget included.  ``bound_chains`` makes ``not`` runs and
-    connective chains count against the budget, so that every statement
-    that parses can be walked by the recursive later layers."""
-    return _Parser(tokenize(text), sig, bound_chains).statement()
+    position on any malformed or unresolvable input."""
+    return _Parser(tokenize(text), sig).statement()
 
 
 # Scope values mirror well_formed's: (OBJ, 0), (FUNC, n) or (PRED, n).
@@ -180,13 +168,11 @@ _LEVEL = {(kind, text): level
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], sig: Signature,
-                 bound_chains: bool):
+    def __init__(self, tokens: list[Token], sig: Signature):
         self.toks = tokens
         self.pos = 0
         self.sig = sig
         self.depth = 0
-        self.chain_levels = 1 if bound_chains else 0
 
     # ---------------------------------------------------- token plumbing
 
@@ -231,20 +217,15 @@ class _Parser:
             self.expect("sym", close)
         return items
 
-    def charge(self, levels: int) -> None:
-        """Spend ``levels`` of the nesting budget, which the caller gives
-        back when the construct ends."""
-        self.depth += levels
+    def __enter__(self) -> None:
+        """``with self:`` around each recursive rule bounds the nesting."""
+        self.depth += 1
         if self.depth > _MAX_DEPTH:
             tok = self.peek()
             raise ParseError("nesting too deep", tok.line, tok.col)
 
-    def __enter__(self) -> None:
-        """``with self:`` around each recursive rule bounds the nesting."""
-        self.charge(_RULE_LEVELS)
-
     def __exit__(self, *exc) -> None:
-        self.depth -= _RULE_LEVELS
+        self.depth -= 1
 
     # -------------------------------------------------------- statements
 
@@ -459,7 +440,6 @@ class _Parser:
         with self:
             operands = [self.prop_not(scope)]
             ops: list[int] = []
-            links = 0
             while True:
                 level = _LEVEL.get(self.peek()[:2], -1)
                 while ops and ops[-1] > level:
@@ -467,10 +447,7 @@ class _Parser:
                     operands[-1] = _CONNECTIVES[ops.pop()][2](
                         operands[-1], rhs)
                 if level < 0:
-                    self.depth -= links * self.chain_levels
                     return operands[0]
-                self.charge(self.chain_levels)
-                links += 1
                 self.next()
                 ops.append(level)
                 operands.append(self.prop_not(scope))
@@ -478,11 +455,9 @@ class _Parser:
     def prop_not(self, scope: _Scope) -> MProp:
         count = 0
         while self.at("kw", "not"):
-            self.charge(self.chain_levels)
             self.next()
             count += 1
         p = self.prop_atom(scope)
-        self.depth -= count * self.chain_levels
         for _ in range(count):
             p = MNot(p)
         return p

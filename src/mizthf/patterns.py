@@ -29,7 +29,8 @@ from .hol import All, App, Const, Eq, Imp, Meta, Var
 class MatchError(Exception):
     """Raised with the message in parts (text, terms and types) that
     are joined only when it is read: a failed peel attempt discards
-    its ``NoMatch`` unread."""
+    its ``NoMatch`` unread.  So ``args`` holds those parts, not one
+    string; ``str(e)`` is the whole message."""
 
     def __str__(self) -> str:
         return "".join(map(str, self.args))

@@ -119,22 +119,6 @@ def test_deep_input_is_one_line_not_a_traceback(tmp_path, sig, capsys,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("body, col", [
-    ("not " * 990 + "c1 = c1", 13 + 4 * 597),
-    (" & ".join(["c1 = c1"] * 990), 13 + 10 * 592),
-])
-@pytest.mark.parametrize("command", ["check", "translate", "emit"])
-def test_long_chains_are_positioned_errors(tmp_path, sig, capsys, command,
-                                           body, col):
-    # each `not` and link spends a level of the parser's budget
-    src = tmp_path / "long.mst"
-    src.write_text(f"statement : {body}\n")
-    assert main([command, str(src), "--sig", sig]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"{src}:1:{col}: nesting too deep\n"
-
-
 def test_match_replacement(sig, corpus_files, capsys):
     scheme = next(p for p in corpus_files if p.stem == "replacement")
     inst = next(p for p in corpus_files if p.stem == "repl_instance")

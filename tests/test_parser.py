@@ -255,18 +255,6 @@ def test_long_not_chains_parse_iteratively():
     assert body == PredConstApp("p0")
 
 
-def test_bound_chains_spend_the_nesting_budget():
-    nots = "statement : " + "not " * 990 + "p0"
-    links = "statement : " + " & ".join(["p0"] * 990)
-    for src in (nots, links):
-        parse_statement(src, SIG)
-        with pytest.raises(ParseError, match="nesting too deep"):
-            parse_statement(src, SIG, bound_chains=True)
-    # the budget is given back when a chain ends
-    parse_statement("statement : " + " & ".join(
-        ["(" + "not " * 500 + "p0)"] * 50), SIG, bound_chains=True)
-
-
 def test_printer_roundtrip_on_generated_statements():
     rng = random.Random(816)
     for _ in range(400):

@@ -501,6 +501,8 @@ def test_no_match_text_is_rendered_only_when_read(monkeypatch):
     with pytest.raises(NoMatch) as exc:
         pattern_match([pair(lhs, rhs)])
     assert shown == []
+    assert exc.value.args == ("rigid heads differ: ", lhs.rhs, " against ",
+                              rhs.rhs)
     assert str(exc.value) == "rigid heads differ: c1 = c1 against ¬c1 = c1"
     assert shown
     shown.clear()
