@@ -28,9 +28,16 @@ be written ``name[args]`` or ``name(args)``; attribute and mode
 constants double as predicate constants.  Membership ``x in X`` is
 written with the keyword ``in``, which no signature can declare.
 
-``tokenize`` is one regular expression with a named group per lexeme.
-``#`` starts a comment, a word starts with a letter or ``_``, and
-whitespace is space, tab, carriage return and newline.
+The lexer is one regular expression: each match skips whitespace
+(space, tab, carriage return and newline) and ``#`` comments that end
+in a newline, then captures one token, so ``findall`` yields every token
+text in one pass.  ``""`` is the end of input, at the end of the text or
+where a comment on the last line starts.  A word starts with a letter or
+``_``; any other token text that is neither a keyword nor a symbol is a
+stray character, refused before the grammar runs.  The parser works on
+the texts alone, since a token's kind follows from its text.  An error
+carries a token index; only when one is raised does ``tokenize`` run the
+same pattern again to find its ``line:col``.
 """
 
 from __future__ import annotations
@@ -45,24 +52,24 @@ from .mizar import (
     FunConstApp, FunDecl, FunVarApp, KindMismatch, MAnd, MEq, MIff, MImp,
     MIn, MNot, MOr, MProp, MStatement, MTerm, MType, Mode, NonAttr,
     ObjConst, ObjDecl, ObjVar, ParseError, PredConstApp, PredDecl,
-    PredVarApp, SET, Signature, The, UnknownName, VarDecl,
+    PredVarApp, SET, Signature, SourceError, The, UnknownName, VarDecl,
 )
 
 KEYWORDS = frozenset(
     "scheme statement set non the where is for being holds ex st "
     "not or implies iff in Element of".split()
 )
+_SYMBOLS = frozenset("-> { } ( ) [ ] , : = &".split())
+# Keywords, symbols and eof; once strays are refused, any other text is
+# a name.
+_RESERVED = KEYWORDS | _SYMBOLS | {""}
 
-# One alternative per lexeme, tried in order.  ``\w`` also admits digits
-# and numerals such as "²", so a word must pass ``_starts_word`` too.
-_LEXEME = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<space>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<word>\w+)
-  | (?P<sym>->|[{}()\[\],:=&])
-  | (?P<stray>.)
-""", re.VERBOSE)
+# Tried in order after the skip: a word, a symbol of ``_SYMBOLS``, eof
+# where a "#" the skip leaves starts a comment with no newline after it,
+# any other character (a stray), and eof at the end.  ``\w`` also admits
+# digits and numerals such as "²", which cannot start a word.
+_LEXEME = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*(\w+|->|[{}()\[\],:=&]|(?=#)|.|\Z)")
 
 _MAX_DEPTH = 200
 
@@ -79,27 +86,31 @@ def _starts_word(c: str) -> bool:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text`` with their positions, up to and including
+    eof.  The first stray character raises ``ParseError``."""
     toks: list[Token] = []
-    line, line_start, end = 1, 0, 0
+    line, line_start, seen = 1, 0, 0
     for m in _LEXEME.finditer(text):
-        kind = m.lastgroup
-        if kind == "comment":  # runs up to the newline; eof stays before it
-            continue
-        start, end = m.span()
-        if kind == "space":
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = end
-            continue
-        word = m.group()
-        if kind == "word" and _starts_word(word[0]):
-            kind = "kw" if word in KEYWORDS else "name"
-        elif kind != "sym":
-            raise ParseError(f"stray character {word[0]!r}", line,
-                             start - line_start + 1)
-        toks.append(Token(kind, word, line, start - line_start + 1))
-    toks.append(Token("eof", "", line, end - line_start + 1))
+        word, start = m[1], m.start(1)
+        newlines = text.count("\n", seen, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", seen, start) + 1
+        seen = start
+        col = start - line_start + 1
+        if not word:
+            kind = "eof"
+        elif word in KEYWORDS:
+            kind = "kw"
+        elif word in _SYMBOLS:
+            kind = "sym"
+        elif _starts_word(word[0]):
+            kind = "name"
+        else:
+            raise ParseError(f"stray character {word[0]!r}", line, col)
+        toks.append(Token(kind, word, line, col))
+        if kind == "eof":
+            break
     return toks
 
 
@@ -144,7 +155,7 @@ def _check_name(name: str, line: int, col: int) -> str:
     if name in KEYWORDS:
         raise ParseError(f"{name!r} is a reserved word", line, col)
     m = _LEXEME.fullmatch(name)
-    if not (m and m.lastgroup == "word" and _starts_word(name[0])):
+    if not (m and m[1] == name and _starts_word(name[:1])):
         raise ParseError(f"invalid name {name!r}", line, col)
     return name
 
@@ -153,7 +164,12 @@ def parse_statement(text: str, sig: Signature) -> MStatement:
     """Parse one scheme or bare statement, resolving names against the
     scheme header and ``sig``.  Raises a ``SourceError`` subclass with a
     position on any malformed or unresolvable input."""
-    return _Parser(tokenize(text), sig).statement()
+    toks = _LEXEME.findall(text)
+    del toks[toks.index("") + 1:]
+    if any(not _starts_word(t[0]) for t in set(toks) - _RESERVED):
+        tokenize(text)  # raises at the first stray
+    toks.append("")  # one token of lookahead past eof
+    return _Parser(text, toks, sig).statement()
 
 
 # Scope values mirror well_formed's: (OBJ, 0), (FUNC, n) or (PRED, n).
@@ -161,68 +177,61 @@ _Scope = dict[str, tuple[str, int]]
 _T = TypeVar("_T")
 
 # Binary connectives, loosest first; all associate to the right.
-_CONNECTIVES = (("kw", "iff", MIff), ("kw", "implies", MImp),
-                ("kw", "or", MOr), ("sym", "&", MAnd))
-_LEVEL = {(kind, text): level
-          for level, (kind, text, _) in enumerate(_CONNECTIVES)}
+_CONNECTIVES = (("iff", MIff), ("implies", MImp), ("or", MOr), ("&", MAnd))
+_LEVEL = {text: level for level, (text, _) in enumerate(_CONNECTIVES)}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], sig: Signature):
-        self.toks = tokens
+    """A parse over token texts.  ``pos`` never passes eof, and a rule
+    raises at a token index; ``error`` turns it into ``line:col``."""
+
+    def __init__(self, source: str, toks: list[str], sig: Signature):
+        self.source = source
+        self.toks = toks
         self.pos = 0
         self.sig = sig
         self.depth = 0
 
     # ---------------------------------------------------- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def error(self, err: SourceError, i: int) -> SourceError:
+        tok = tokenize(self.source)[i]
+        return err.at(tok.line, tok.col)
 
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def expect(self, text: str) -> None:
+        got = self.toks[self.pos]
+        if got != text:
+            raise self.error(ParseError(f"expected {text!r}, got {got!r}",
+                                        expected=text), self.pos)
+        self.pos += 1
 
-    def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind == kind and (text is None or tok.text == text)
-
-    def expect(self, kind: str, text: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind or tok.text != text:
-            raise ParseError(f"expected {text!r}, got {tok.text!r}",
-                             tok.line, tok.col, expected=text)
-        return tok
-
-    def name_tok(self, what: str) -> Token:
-        tok = self.next()
-        if tok.kind != "name":
-            raise ParseError(f"expected {what}, got {tok.text!r}",
-                             tok.line, tok.col)
-        return tok
+    def name(self, what: str) -> str:
+        text = self.toks[self.pos]
+        if text in _RESERVED:
+            raise self.error(ParseError(f"expected {what}, got {text!r}"),
+                             self.pos)
+        self.pos += 1
+        return text
 
     def comma_list(self, item: Callable[[], _T],
                    close: str | None = None) -> list[_T]:
         """``item ("," item)*``.  With a ``close`` symbol the list may be
         empty and must end with that symbol, which is consumed."""
         items: list[_T] = []
-        if close is None or not self.at("sym", close):
+        if close is None or self.toks[self.pos] != close:
             items.append(item())
-            while self.at("sym", ","):
-                self.next()
+            while self.toks[self.pos] == ",":
+                self.pos += 1
                 items.append(item())
         if close is not None:
-            self.expect("sym", close)
+            self.expect(close)
         return items
 
     def __enter__(self) -> None:
         """``with self:`` around each recursive rule bounds the nesting."""
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            tok = self.peek()
-            raise ParseError("nesting too deep", tok.line, tok.col)
+            raise self.error(ParseError("nesting too deep"), self.pos)
 
     def __exit__(self, *exc) -> None:
         self.depth -= 1
@@ -230,43 +239,45 @@ class _Parser:
     # -------------------------------------------------------- statements
 
     def statement(self) -> MStatement:
-        tok = self.next()
-        if tok.kind == "kw" and tok.text == "scheme":
-            name = self.name_tok("a scheme name").text
-            self.expect("sym", "{")
+        kw = self.toks[0]
+        self.pos = 1
+        if kw == "scheme":
+            name = self.name("a scheme name")
+            self.expect("{")
             scope: _Scope = {}
             prefix = self.comma_list(partial(self.decl, scope), "}")
-            self.expect("sym", ":")
+            self.expect(":")
             body = self.prop(scope)
-        elif tok.kind == "kw" and tok.text == "statement":
+        elif kw == "statement":
             name = None
             prefix = []
-            self.expect("sym", ":")
+            self.expect(":")
             body = self.prop({})
         else:
-            raise ParseError("expected 'scheme' or 'statement'",
-                             tok.line, tok.col)
-        tok = self.next()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.text!r} after statement",
-                             tok.line, tok.col)
+            raise self.error(ParseError("expected 'scheme' or 'statement'"),
+                             0)
+        if self.toks[self.pos]:
+            raise self.error(ParseError(
+                f"unexpected {self.toks[self.pos]!r} after statement"),
+                self.pos)
         return MStatement(tuple(prefix), body, name)
 
     def decl(self, scope: _Scope) -> VarDecl:
-        tok = self.name_tok("a variable name")
-        name = tok.text
+        at = self.pos
+        name = self.name("a variable name")
         if name in scope:
-            raise DuplicateName(name).at(tok.line, tok.col)
-        tok = self.next()
-        if tok.kind != "sym" or tok.text not in ("(", "["):
-            raise ParseError("expected '(' or '[' in declaration",
-                             tok.line, tok.col)
+            raise self.error(DuplicateName(name), at)
+        bracket = self.toks[self.pos]
+        if bracket not in ("(", "["):
+            raise self.error(
+                ParseError("expected '(' or '[' in declaration"), self.pos)
+        self.pos += 1
         args = tuple(self.comma_list(partial(self.mtype, scope),
-                                     ")" if tok.text == "(" else "]"))
-        if tok.text == "[":
+                                     ")" if bracket == "(" else "]"))
+        if bracket == "[":
             scope[name] = (PRED, len(args))
             return PredDecl(name, args)
-        self.expect("sym", "->")
+        self.expect("->")
         result = self.mtype(scope)
         if args:
             scope[name] = (FUNC, len(args))
@@ -278,158 +289,148 @@ class _Parser:
 
     def mtype(self, scope: _Scope) -> MType:
         with self:
-            tok = self.peek()
-            if tok.kind == "kw" and tok.text == "set":
-                self.next()
+            at = self.pos
+            text = self.toks[at]
+            if text == "set":
+                self.pos += 1
                 return SET
-            if tok.kind == "kw" and tok.text == "non":
-                self.next()
-                attr_tok = self.name_tok("an attribute name")
-                self._want_attr(attr_tok)
-                return NonAttr(attr_tok.text, self.mtype(scope))
-            if tok.kind == "kw" and tok.text == "Element":
-                self.next()
-                self.expect("kw", "of")
+            if text == "non":
+                self.pos += 1
+                attr = self.name("an attribute name")
+                entry = self.sig.lookup(attr)
+                if entry is None:
+                    raise self.error(UnknownName(attr), at + 1)
+                if entry.kind != ATTR:
+                    raise self.error(KindMismatch(attr, "an attribute"), at + 1)
+                return NonAttr(attr, self.mtype(scope))
+            if text == "Element":
+                self.pos += 1
+                self.expect("of")
                 if self.sig.elementof is None:
-                    raise ParseError(
-                        "no mode is tagged 'elementof' in the signature",
-                        tok.line, tok.col)
+                    raise self.error(ParseError(
+                        "no mode is tagged 'elementof' in the signature"), at)
                 return Mode(self.sig.elementof, (self.term(scope),))
-            if tok.kind == "name":
-                entry = self.sig.lookup(tok.text)
-                if tok.text in scope or entry is None:
-                    self.next()
-                    raise UnknownName(tok.text).at(tok.line, tok.col)
+            if text not in _RESERVED:
+                entry = self.sig.lookup(text)
+                if text in scope or entry is None:
+                    raise self.error(UnknownName(text), at)
+                self.pos += 1
                 if entry.kind == ATTR:
-                    self.next()
-                    return Attr(tok.text, self.mtype(scope))
+                    return Attr(text, self.mtype(scope))
                 if entry.kind == MODE:
-                    self.next()
                     args: list[MTerm] = []
-                    if self.at("sym", "("):
-                        self.next()
+                    if self.toks[self.pos] == "(":
+                        self.pos += 1
                         args = self.comma_list(partial(self.term, scope), ")")
                     if entry.arity != len(args) + 1:
-                        raise ArityMismatch(
-                            tok.text, entry.arity - 1, len(args)
-                        ).at(tok.line, tok.col)
-                    return Mode(tok.text, tuple(args))
-                self.next()
-                raise KindMismatch(tok.text, "a mode or attribute").at(
-                    tok.line, tok.col)
-            raise ParseError(f"expected a type, got {tok.text!r}",
-                             tok.line, tok.col)
-
-    def _want_attr(self, tok: Token) -> None:
-        entry = self.sig.lookup(tok.text)
-        if entry is None:
-            raise UnknownName(tok.text).at(tok.line, tok.col)
-        if entry.kind != ATTR:
-            raise KindMismatch(tok.text, "an attribute").at(tok.line, tok.col)
+                        raise self.error(ArityMismatch(
+                            text, entry.arity - 1, len(args)), at)
+                    return Mode(text, tuple(args))
+                raise self.error(KindMismatch(text, "a mode or attribute"),
+                                 at)
+            raise self.error(ParseError(f"expected a type, got {text!r}"), at)
 
     # ------------------------------------------------------------- terms
 
     def term(self, scope: _Scope) -> MTerm:
         with self:
-            tok = self.peek()
-            if tok.kind == "kw" and tok.text == "the":
-                self.next()
+            text = self.toks[self.pos]
+            if text == "the":
+                self.pos += 1
                 return The(self.mtype(scope))
-            if tok.kind == "sym" and tok.text == "{":
+            if text == "{":
                 return self.fraenkel(scope)
-            if tok.kind == "name":
+            if text not in _RESERVED:
                 return self.named_term(scope)
-            raise ParseError(f"expected a term, got {tok.text!r}",
-                             tok.line, tok.col)
+            raise self.error(ParseError(f"expected a term, got {text!r}"),
+                             self.pos)
 
     def named_term(self, scope: _Scope) -> MTerm:
-        tok = self.next()
-        name = tok.text
+        at = self.pos
+        name = self.toks[at]
+        self.pos += 1
         got = scope.get(name)
         if got is not None:
             kind, arity = got
             if kind == OBJ:
-                if self.at("sym", "("):
+                if self.toks[self.pos] == "(":
                     # the F()-style reference to an object variable
-                    self.next()
-                    if not self.at("sym", ")"):
-                        raise KindMismatch(name, "a function variable").at(
-                            tok.line, tok.col)
-                    self.next()
+                    if self.toks[self.pos + 1] != ")":
+                        raise self.error(
+                            KindMismatch(name, "a function variable"), at)
+                    self.pos += 2
                 return ObjVar(name)
             if kind != FUNC:
-                raise KindMismatch(name, "usable in a term").at(
-                    tok.line, tok.col)
+                raise self.error(KindMismatch(name, "usable in a term"), at)
             app = FunVarApp
         else:
             entry = self.sig.lookup(name)
             if entry is None:
-                raise UnknownName(name).at(tok.line, tok.col)
+                raise self.error(UnknownName(name), at)
             if entry.kind == OBJ:
-                if self.at("sym", "("):
-                    raise KindMismatch(name, "a function").at(
-                        tok.line, tok.col)
+                if self.toks[self.pos] == "(":
+                    raise self.error(KindMismatch(name, "a function"), at)
                 return ObjConst(name)
             if entry.kind != FUNC:
-                raise KindMismatch(name, "usable in a term").at(
-                    tok.line, tok.col)
+                raise self.error(KindMismatch(name, "usable in a term"), at)
             app, arity = FunConstApp, entry.arity
-        if not self.at("sym", "("):
-            raise ArityMismatch(name, arity, 0).at(tok.line, tok.col)
-        self.next()
+        if self.toks[self.pos] != "(":
+            raise self.error(ArityMismatch(name, arity, 0), at)
+        self.pos += 1
         args = self.comma_list(partial(self.term, scope), ")")
         if len(args) != arity:
-            raise ArityMismatch(name, arity, len(args)).at(tok.line, tok.col)
+            raise self.error(ArityMismatch(name, arity, len(args)), at)
         return app(name, tuple(args))
 
     def fraenkel(self, scope: _Scope) -> MTerm:
-        open_tok = self.expect("sym", "{")
+        open_at = self.pos
+        self.expect("{")
         start = self.pos
         # The member term precedes the binders that scope over it, so
         # find our 'where', parse binders and guard first, then rewind.
-        where_at = self._find_where(open_tok)
+        where_at = self._find_where(open_at)
         self.pos = where_at + 1
         inner = dict(scope)
         names: list[str] = []
 
         def binder() -> tuple[str, MType]:
-            tok = self.name_tok("a binder name")
-            if tok.text in names:
-                raise DuplicateName(tok.text).at(tok.line, tok.col)
-            self.expect("kw", "is")
+            at = self.pos
+            name = self.name("a binder name")
+            if name in names:
+                raise self.error(DuplicateName(name), at)
+            self.expect("is")
             mt = self.mtype(inner)
-            names.append(tok.text)
-            inner[tok.text] = (OBJ, 0)
-            return tok.text, mt
+            names.append(name)
+            inner[name] = (OBJ, 0)
+            return name, mt
 
         binders = self.comma_list(binder)
-        self.expect("sym", ":")
+        self.expect(":")
         guard = self.prop(inner)
-        self.expect("sym", "}")
+        self.expect("}")
         end = self.pos
         self.pos = start
         body = self.term(inner)
         if self.pos != where_at:
-            tok = self.peek()
-            raise ParseError(f"expected 'where', got {tok.text!r}",
-                             tok.line, tok.col)
+            raise self.error(ParseError(
+                f"expected 'where', got {self.toks[self.pos]!r}"), self.pos)
         self.pos = end
         return Fraenkel(tuple(binders), body, guard)
 
-    def _find_where(self, open_tok: Token) -> int:
+    def _find_where(self, open_at: int) -> int:
         depth = 0
         for i in range(self.pos, len(self.toks)):
-            tok = self.toks[i]
-            if tok.kind == "sym" and tok.text == "{":
+            text = self.toks[i]
+            if text == "{":
                 depth += 1
-            elif tok.kind == "sym" and tok.text == "}":
+            elif text == "}":
                 if depth == 0:
                     break
                 depth -= 1
-            elif tok.kind == "kw" and tok.text == "where" and depth == 0:
+            elif text == "where" and depth == 0:
                 return i
-        raise ParseError("comprehension without 'where'",
-                         open_tok.line, open_tok.col)
+        raise self.error(ParseError("comprehension without 'where'"),
+                         open_at)
 
     # ------------------------------------------------------ propositions
 
@@ -441,21 +442,21 @@ class _Parser:
             operands = [self.prop_not(scope)]
             ops: list[int] = []
             while True:
-                level = _LEVEL.get(self.peek()[:2], -1)
+                level = _LEVEL.get(self.toks[self.pos], -1)
                 while ops and ops[-1] > level:
                     rhs = operands.pop()
-                    operands[-1] = _CONNECTIVES[ops.pop()][2](
+                    operands[-1] = _CONNECTIVES[ops.pop()][1](
                         operands[-1], rhs)
                 if level < 0:
                     return operands[0]
-                self.next()
+                self.pos += 1
                 ops.append(level)
                 operands.append(self.prop_not(scope))
 
     def prop_not(self, scope: _Scope) -> MProp:
         count = 0
-        while self.at("kw", "not"):
-            self.next()
+        while self.toks[self.pos] == "not":
+            self.pos += 1
             count += 1
         p = self.prop_atom(scope)
         for _ in range(count):
@@ -464,55 +465,54 @@ class _Parser:
 
     def prop_atom(self, scope: _Scope) -> MProp:
         with self:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == "(":
-                self.next()
+            at = self.pos
+            text = self.toks[at]
+            if text == "(":
+                self.pos += 1
                 p = self.prop(scope)
-                self.expect("sym", ")")
+                self.expect(")")
                 return p
-            if tok.kind == "kw" and tok.text in ("for", "ex"):
-                return self.quantified(scope, tok.text)
-            if tok.kind == "name":
-                pred = self.pred_resolution(tok.text, scope)
-                bracket = self.at("sym", "[", ahead=1)
-                if bracket and pred is None:
-                    self.next()
-                    raise KindMismatch(tok.text, "a predicate").at(
-                        tok.line, tok.col)
-                paren = self.at("sym", "(", ahead=1)
-                if pred is not None and (bracket or paren or pred[1] == 0):
-                    self.next()
+            if text in ("for", "ex"):
+                return self.quantified(scope, text)
+            if text not in _RESERVED:
+                pred = self.pred_resolution(text, scope)
+                after = self.toks[at + 1]
+                if after == "[" and pred is None:
+                    raise self.error(KindMismatch(text, "a predicate"), at)
+                args_follow = after in ("(", "[")
+                if pred is not None and (args_follow or pred[1] == 0):
+                    self.pos += 1
                     args: tuple[MTerm, ...] = ()
-                    if bracket or paren:
-                        close = "]" if self.next().text == "[" else ")"
+                    if args_follow:
+                        self.pos += 1
                         args = tuple(self.comma_list(
-                            partial(self.term, scope), close))
+                            partial(self.term, scope),
+                            "]" if after == "[" else ")"))
                     node, arity = pred
                     if len(args) != arity:
-                        raise ArityMismatch(tok.text, arity, len(args)).at(
-                            tok.line, tok.col)
-                    return node(tok.text, args)
+                        raise self.error(
+                            ArityMismatch(text, arity, len(args)), at)
+                    return node(text, args)
             return self.relational(scope)
 
     def quantified(self, scope: _Scope, kw: str) -> MProp:
-        """One quantifier block.  Variables may share a type ("for x, y
-        being set") and blocks may chain ("for x being set ex y being
-        set st ..."); the body keyword is "holds" after "for" and "st"
-        after "ex"."""
+        """One quantifier block, from the ``kw`` at ``pos``.  Variables
+        may share a type ("for x, y being set") and blocks may chain
+        ("for x being set ex y being set st ..."); the body keyword is
+        "holds" after "for" and "st" after "ex"."""
         with self:
-            self.expect("kw", kw)
-            names = self.comma_list(
-                lambda: self.name_tok("a variable name").text)
-            self.expect("kw", "being")
+            self.pos += 1
+            names = self.comma_list(partial(self.name, "a variable name"))
+            self.expect("being")
             mt = self.mtype(scope)
             inner = dict(scope)
             for name in names:
                 inner[name] = (OBJ, 0)
-            nxt = self.peek()
-            if nxt.kind == "kw" and nxt.text in ("for", "ex"):
-                body = self.quantified(inner, nxt.text)
+            nxt = self.toks[self.pos]
+            if nxt in ("for", "ex"):
+                body = self.quantified(inner, nxt)
             else:
-                self.expect("kw", "holds" if kw == "for" else "st")
+                self.expect("holds" if kw == "for" else "st")
                 body = self.prop(inner)
             ctor = ForBeing if kw == "for" else ExBeing
             for name in reversed(names):
@@ -533,10 +533,9 @@ class _Parser:
 
     def relational(self, scope: _Scope) -> MProp:
         lhs = self.term(scope)
-        tok = self.next()
-        if tok.kind == "kw" and tok.text == "in":
-            return MIn(lhs, self.term(scope))
-        if tok.kind == "sym" and tok.text == "=":
-            return MEq(lhs, self.term(scope))
-        raise ParseError(f"expected '=' or 'in', got {tok.text!r}",
-                         tok.line, tok.col)
+        op = self.toks[self.pos]
+        if op in ("in", "="):
+            self.pos += 1
+            return (MIn if op == "in" else MEq)(lhs, self.term(scope))
+        raise self.error(ParseError(f"expected '=' or 'in', got {op!r}"),
+                         self.pos)
