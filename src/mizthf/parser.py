@@ -168,7 +168,7 @@ def parse_statement(text: str, sig: Signature) -> MStatement:
     del toks[toks.index("") + 1:]
     if any(not _starts_word(t[0]) for t in set(toks) - _RESERVED):
         tokenize(text)  # raises at the first stray
-    toks.append("")  # one token of lookahead past eof
+    toks.append("")  # a lookahead from eof reads eof
     return _Parser(text, toks, sig).statement()
 
 
@@ -301,7 +301,8 @@ class _Parser:
                 if entry is None:
                     raise self.error(UnknownName(attr), at + 1)
                 if entry.kind != ATTR:
-                    raise self.error(KindMismatch(attr, "an attribute"), at + 1)
+                    raise self.error(KindMismatch(attr, "an attribute"),
+                                     at + 1)
                 return NonAttr(attr, self.mtype(scope))
             if text == "Element":
                 self.pos += 1

@@ -13,6 +13,7 @@ from mizthf.mizar import (
     MOr, MStatement, Mode, NonAttr, ObjConst, ObjDecl, ObjVar, ParseError,
     PredConstApp, PredDecl, PredVarApp, SET, SourceError, The, UnknownName,
 )
+from mizthf import parser
 from mizthf.parser import tokenize
 from mizthf.printer import print_statement
 
@@ -236,6 +237,181 @@ def test_parse_error_positions():
     with pytest.raises(UnknownName) as info:
         parse_statement("statement : c1 = nope", SIG)
     assert info.value.line == 1
+
+
+# (source, error class, message, line, col) for each raise site of the
+# parser, recorded from the Token-list parser this one replaced.
+DEEP = "statement : " + "(" * 300 + "c1 = c1" + ")" * 300
+
+
+@pytest.mark.parametrize("src,error,message,line,col", [
+    ("statement c1 = c1", ParseError, "expected ':', got 'c1'", 1, 11),
+    ("statement : (c1 = c1", ParseError, "expected ')', got ''", 1, 21),
+    ("scheme S { A() -> set : c1 = c1", ParseError,
+     "expected '}', got ':'", 1, 23),
+    ("scheme : c1 = c1", ParseError, "expected a scheme name, got ':'", 1, 8),
+    ("c1 = c1", ParseError, "expected 'scheme' or 'statement'", 1, 1),
+    ("statement : c1 = c1 extra", ParseError,
+     "unexpected 'extra' after statement", 1, 21),
+    ("scheme S { A -> set } : c1 = c1", ParseError,
+     "expected '(' or '[' in declaration", 1, 14),
+    ("statement : for x being ( holds x = x", ParseError,
+     "expected a type, got '('", 1, 25),
+    ("statement : ) = c1", ParseError, "expected a term, got ')'", 1, 13),
+    ("statement :", ParseError, "expected a term, got ''", 1, 12),
+    ("statement : c1 c2", ParseError, "expected '=' or 'in', got 'c2'",
+     1, 16),
+    (DEEP, ParseError, "nesting too deep", 1, 113),
+    ("statement : c1 in { f1(c1) }", ParseError,
+     "comprehension without 'where'", 1, 19),
+    ("statement : c1 in { f1(u) extra where u is set : u = u }",
+     ParseError, "expected 'where', got 'extra'", 1, 27),
+    ("statement : ghost = c1", UnknownName, "unknown name 'ghost'", 1, 13),
+    ("statement : the ghost = c1", UnknownName, "unknown name 'ghost'",
+     1, 17),
+    ("statement : the non ghost set = c1", UnknownName,
+     "unknown name 'ghost'", 1, 21),
+    ("statement : p1 = c1", KindMismatch, "'p1' is not usable in a term",
+     1, 13),
+    ("statement : c1(c2) = c1", KindMismatch, "'c1' is not a function",
+     1, 13),
+    ("scheme S { A() -> set } : A(c1) = A", KindMismatch,
+     "'A' is not a function variable", 1, 27),
+    ("scheme S { P[set] } : P = c1", KindMismatch,
+     "'P' is not usable in a term", 1, 23),
+    ("statement : the c1 = c1", KindMismatch,
+     "'c1' is not a mode or attribute", 1, 17),
+    ("statement : the non p1 set = c1", KindMismatch,
+     "'p1' is not an attribute", 1, 21),
+    ("statement : c1[c2]", KindMismatch, "'c1' is not a predicate", 1, 13),
+    ("statement : f1 = c1", ArityMismatch,
+     "'f1' takes 1 argument(s), got 0", 1, 13),
+    ("statement : f2(c1) = c1", ArityMismatch,
+     "'f2' takes 2 argument(s), got 1", 1, 13),
+    ("statement : p1[c1, c2]", ArityMismatch,
+     "'p1' takes 1 argument(s), got 2", 1, 13),
+    ("statement : for x being m1_subset_1 holds x = x", ArityMismatch,
+     "'m1_subset_1' takes 1 argument(s), got 0", 1, 25),
+    ("scheme S { A() -> set, A() -> set } : A = A", DuplicateName,
+     "duplicate declaration of 'A'", 1, 24),
+    ("statement : c1 in { u where u is set, u is set : u = u }",
+     DuplicateName, "duplicate declaration of 'u'", 1, 39),
+    # later lines, after tabs, carriage returns and comments
+    ("statement :\n  c1 ~ c2", ParseError, "stray character '~'", 2, 6),
+    ("statement :\n\tc1 = # note\n\r ghost", UnknownName,
+     "unknown name 'ghost'", 3, 3),
+    ("# head\nstatement : c1 =\r\n\t\tc2 c1", ParseError,
+     "unexpected 'c1' after statement", 3, 6),
+    ("statement : c1 = c1 # trailing\n  extra", ParseError,
+     "unexpected 'extra' after statement", 2, 3),
+    ("scheme S {\n  A() -> set,\n  A() -> set } : A = A", DuplicateName,
+     "duplicate declaration of 'A'", 3, 3),
+    # a stray is refused before the grammar runs
+    ("statement : c1 ? c2", ParseError, "stray character '?'", 1, 16),
+    ("statement : ( ²x", ParseError, "stray character '²'", 1, 15),
+    ("c1 = c1 ?", ParseError, "stray character '?'", 1, 9),
+    # ... also where the grammar would bind it as a name
+    ("scheme S { ²() -> set } : ² = ²", ParseError,
+     "stray character '²'", 1, 12),
+])
+def test_parse_error_details(src, error, message, line, col):
+    with pytest.raises(SourceError) as info:
+        parse_statement(src, SIG)
+    got = info.value
+    assert (type(got), got.message, got.line, got.col) == (
+        error, message, line, col)
+
+
+def test_element_of_error_details():
+    sig = Signature()
+    sig.declare("c", "obj")
+    with pytest.raises(ParseError) as info:
+        parse_statement("statement : the Element of c = c", sig)
+    assert (info.value.message, info.value.line, info.value.col) == (
+        "no mode is tagged 'elementof' in the signature", 1, 17)
+
+
+LEXEMES = [
+    "c1", "x", "_y", "é", "x²", "²x", "١a", "statement", "in", "not",
+    "where", *"-> { } ( ) [ ] , : = &".split(), "-", "?",
+    " ", "\t", "\r", "\n", "# note\n", "# note",
+]
+
+
+def test_parse_statement_lexes_what_tokenize_lexes(monkeypatch):
+    """The texts the grammar gets are tokenize's texts, and a stray
+    raises the same error either way."""
+    lexed: list[list[str]] = []
+
+    class Recording(parser._Parser):
+        def __init__(self, source, toks, sig):
+            lexed.append(toks[:-1])  # without the padding eof
+            super().__init__(source, toks, sig)
+
+    monkeypatch.setattr(parser, "_Parser", Recording)
+    rng = random.Random(4242)
+    sources = [""] + ["".join(rng.choice(LEXEMES)
+                              for _ in range(rng.randint(1, 12)))
+                      for _ in range(2000)]
+    for src in sources:
+        lexed.clear()
+        try:
+            want = [t.text for t in tokenize(src)]
+        except ParseError as e:
+            with pytest.raises(ParseError) as info:
+                parse_statement(src, SIG)
+            assert (info.value.message, info.value.line, info.value.col) \
+                == (e.message, e.line, e.col), src
+            assert lexed == [], src
+            continue
+        try:
+            parse_statement(src, SIG)
+        except SourceError:
+            pass
+        assert lexed == [want], src
+    for line in ("obj ²x", "obj 1x", "func ١/1"):
+        with pytest.raises(ParseError):
+            parse_signature(line)
+
+
+def _no_positions(text):
+    raise AssertionError("tokenize called on the success path")
+
+
+def test_parse_needs_no_positions(monkeypatch, corpus_sig, corpus_files):
+    corpus = [p.read_text() for p in corpus_files]
+    rng = random.Random(31)
+    generated = [print_statement(random_statement(rng)) for _ in range(400)]
+    monkeypatch.setattr(parser, "tokenize", _no_positions)
+    assert len(corpus) == 12
+    for text in corpus:
+        parse_statement(text, corpus_sig)
+    for text in generated:
+        parse_statement(text, SIG)
+
+
+def test_error_positions_are_token_starts():
+    corpus = [
+        "statement : c1 = c1",
+        "scheme S { A() -> set } : A in c1",
+        "statement : c1 in { f1(u) where u is set : p1(u) }",
+        "statement :\n  for x being Element of c1 holds\n\tx in c2 # c",
+    ]
+    rng = random.Random(1234)
+    for _ in range(3000):
+        src = fuzz_source(rng, corpus)
+        try:
+            parse_statement(src, SIG)
+        except SourceError as e:
+            if e.line is None:
+                continue
+            try:
+                starts = {(t.line, t.col) for t in tokenize(src)}
+            except ParseError as stray:
+                assert (e.message, e.line, e.col) == (
+                    stray.message, stray.line, stray.col), src
+                continue
+            assert (e.line, e.col) in starts, src
 
 
 def test_deep_nesting_is_a_parse_error():
