@@ -28,7 +28,7 @@ from .mizar import MStatement, Signature, SourceError, well_formed
 from .parser import parse_signature, parse_statement
 from .patterns import MatchError, recover_scheme_instantiation
 from .thfcheck import check_thf
-from .translate import TranslationError, translate_statement
+from .translate import MAX_ARITY, TranslationError, translate_statement
 
 _T = TypeVar("_T")
 
@@ -39,7 +39,10 @@ def _fail(message: str, code: int) -> int:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise OSError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def _load(path: str, parse: Callable[..., _T], *args: object) -> _T:
@@ -199,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--sig", required=True,
                        help="signature file naming the constants")
-        p.add_argument("--max-arity", type=_count, default=6, metavar="N",
-                       help="largest comprehension binder count "
-                            "(default 6)")
+        p.add_argument("--max-arity", type=_count, default=MAX_ARITY,
+                       metavar="N", help="largest comprehension binder count "
+                                         "(default %(default)s)")
 
     p = sub.add_parser("check", help="report well-formedness diagnostics")
     p.add_argument("files", nargs="+")

@@ -10,12 +10,19 @@ only; second-order generality lives exclusively in the prefix.
 ``Signature`` records the constant names a statement may mention.
 Membership is not among them: ``in`` is a keyword of the concrete syntax
 and ``MIn`` its only node, and a signature refuses to declare ``in``.
+
+The parser, ``well_formed``, the translation and the printer read the
+node rules from tables here: ``BINDINGS`` (where a named node finds its
+name, which kinds it takes, how diagnostics name it; ``NODES`` reads it
+backwards), and ``CONNECTIVES`` and ``QUANTIFIERS`` (words, precedence
+and HOL constructor).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import hol
 
@@ -33,8 +40,7 @@ MEMBER = "in"  # the membership keyword, never a signature entry
 _RESERVED = re.compile(r"eps|r2_hidden|sethood|replSep_[0-9]+")
 
 
-@dataclass(frozen=True)
-class SigEntry:
+class SigEntry(NamedTuple):
     kind: str
     arity: int
 
@@ -274,41 +280,44 @@ class MNot(MProp):
 
 
 @dataclass(frozen=True)
-class MAnd(MProp):
+class MConnective(MProp):
+    """A binary connective; ``CONNECTIVES`` has the rest of its rule."""
+
     lhs: MProp
     rhs: MProp
 
 
-@dataclass(frozen=True)
-class MOr(MProp):
-    lhs: MProp
-    rhs: MProp
+class MAnd(MConnective):
+    pass
+
+
+class MOr(MConnective):
+    pass
+
+
+class MImp(MConnective):
+    pass
+
+
+class MIff(MConnective):
+    pass
 
 
 @dataclass(frozen=True)
-class MImp(MProp):
-    lhs: MProp
-    rhs: MProp
+class MQuantifier(MProp):
+    """A quantifier over one object variable; see ``QUANTIFIERS``."""
 
-
-@dataclass(frozen=True)
-class MIff(MProp):
-    lhs: MProp
-    rhs: MProp
-
-
-@dataclass(frozen=True)
-class ForBeing(MProp):
     var: str
     mtype: MType
     body: MProp
 
 
-@dataclass(frozen=True)
-class ExBeing(MProp):
-    var: str
-    mtype: MType
-    body: MProp
+class ForBeing(MQuantifier):
+    pass
+
+
+class ExBeing(MQuantifier):
+    pass
 
 
 class VarDecl:
@@ -347,9 +356,83 @@ class MStatement:
     name: str | None = field(default=None, compare=False)
 
 
+# ---------------------------------------------------------- node rules
+
+
+@dataclass(frozen=True, slots=True)
+class Binding:
+    """Where a named node finds its name: a ``scoped`` node in the prefix
+    or a binder, any other in the signature.  The entry must have one of
+    ``kinds`` and take the node's arguments plus ``subject``, the implicit
+    subject of a type; a type's name bound in scope has the wrong kind.
+    Diagnostics name the node by ``noun`` (an unknown name, a type's
+    arity) and the kind it needs by ``wanted``."""
+
+    scoped: bool
+    kinds: tuple[str, ...]
+    noun: str
+    wanted: str
+    subject: int = 0
+
+
+BINDINGS: dict[type, Binding] = {
+    ObjVar: Binding(True, (OBJ,), "object variable", "an object variable"),
+    ObjConst: Binding(False, (OBJ,), "constant", "an object constant"),
+    FunVarApp: Binding(True, (FUNC,), "function variable",
+                       "a function variable"),
+    FunConstApp: Binding(False, (FUNC,), "function", "a function constant"),
+    PredVarApp: Binding(True, (PRED,), "predicate variable",
+                        "a predicate variable"),
+    # attributes and modes double as predicate constants
+    PredConstApp: Binding(False, (PRED, ATTR, MODE), "predicate",
+                          "a predicate"),
+    Mode: Binding(False, (MODE,), "mode", "a mode", 1),
+    Attr: Binding(False, (ATTR,), "attribute", "an attribute", 1),
+    NonAttr: Binding(False, (ATTR,), "attribute", "an attribute", 1),
+}
+
+# The parser's reading: ``NODES[category][scoped][kind]`` is the node a
+# binding makes where an MTerm, MProp or MType is expected.  Only ``non``
+# makes a NonAttr.
+NODES: dict[type, dict[bool, dict[str, type]]] = {
+    category: {scoped: {kind: node for node, b in BINDINGS.items()
+                        if node.__bases__[0] is category
+                        and b.scoped == scoped and node is not NonAttr
+                        for kind in b.kinds}
+               for scoped in (True, False)}
+    for category in (MTerm, MProp, MType)}
+
+
+class Connective(NamedTuple):
+    word: str
+    level: int  # binds tighter than every lower level
+    target: Callable[[hol.Term, hol.Term], hol.Term]
+
+
+# Binary connectives, loosest first; all associate to the right.
+CONNECTIVES: dict[type, Connective] = {
+    MIff: Connective("iff", 1, hol.Iff),
+    MImp: Connective("implies", 2, hol.Imp),
+    MOr: Connective("or", 3, hol.Or),
+    MAnd: Connective("&", 4, hol.And),
+}
+
+
+class Quantifier(NamedTuple):
+    word: str
+    body_word: str  # between the typed variables and the body
+    target: Callable[[str, hol.Type, hol.Term], hol.Term]
+
+
+QUANTIFIERS: dict[type, Quantifier] = {
+    ForBeing: Quantifier("for", "holds", hol.All),
+    ExBeing: Quantifier("ex", "st", hol.Ex),
+}
+
+
 # --------------------------------------------------------- well-formed
 
-# scope values: (OBJ, 0) for object variables, (FUNC, n), (PRED, n)
+# (kind, arity) pairs like ``SigEntry``: (OBJ, 0), (FUNC, n) or (PRED, n)
 _Scope = dict[str, tuple[str, int]]
 
 
@@ -366,79 +449,46 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
     def bad(code: str, message: str, where: hol._Where) -> None:
         out.append(Diagnostic(code, message, hol._path(where)))
 
+    def check_name(node: object, name: str, args: tuple[MTerm, ...],
+                   scope: _Scope, where: hol._Where) -> None:
+        """``node``'s ``BINDINGS`` row on its name, then its arguments."""
+        b = BINDINGS[type(node)]
+        got = scope.get(name) if b.scoped else sig.lookup(name)
+        if got is None and not (b.subject and name in scope):
+            bad("unknown-name", f"{b.noun} {name!r} is not in scope"
+                if b.scoped else f"unknown {b.noun} {name!r}", where)
+        elif got is None or got[0] not in b.kinds:
+            bad("kind-mismatch", f"{name!r} is not {b.wanted}", where)
+        elif got[1] != len(args) + b.subject:
+            what = f"{b.noun} " if b.subject else ""
+            bad("arity-mismatch", f"{what}{name!r} takes "
+                f"{got[1] - b.subject} argument(s), got {len(args)}", where)
+        if args:
+            for i, a in enumerate(args):
+                check_term(a, scope, (where, ".args", i))
+
     def check_type(t: MType, scope: _Scope, where: hol._Where) -> None:
         match t:
             case SetType():
                 pass
             case Mode(name, args):
-                entry = sig.lookup(name)
-                if entry is None and name not in scope:
-                    bad("unknown-name", f"unknown mode {name!r}", where)
-                elif entry is None or entry.kind != MODE:
-                    bad("kind-mismatch", f"{name!r} is not a mode", where)
-                elif entry.arity != len(args) + 1:
-                    bad("arity-mismatch",
-                        f"mode {name!r} takes {entry.arity - 1} argument(s), "
-                        f"got {len(args)}", where)
-                for i, a in enumerate(args):
-                    check_term(a, scope, (where, ".args", i))
+                check_name(t, name, args, scope, where)
             case Attr(name, base) | NonAttr(name, base):
-                entry = sig.lookup(name)
-                if entry is None and name not in scope:
-                    bad("unknown-name", f"unknown attribute {name!r}", where)
-                elif entry is None or entry.kind != ATTR:
-                    bad("kind-mismatch", f"{name!r} is not an attribute", where)
+                check_name(t, name, (), scope, where)
                 check_type(base, scope, (where, ".base"))
             case _:
                 bad("bad-node", f"not an MType: {t!r}", where)
 
     def check_term(t: MTerm, scope: _Scope, where: hol._Where) -> None:
         match t:
-            case ObjVar(name):
-                got = scope.get(name)
-                if got is None:
-                    bad("unknown-name",
-                        f"object variable {name!r} is not in scope", where)
-                elif got[0] != OBJ:
-                    bad("kind-mismatch",
-                        f"{name!r} is not an object variable", where)
-            case ObjConst(name):
-                entry = sig.lookup(name)
-                if entry is None:
-                    bad("unknown-name", f"unknown constant {name!r}", where)
-                elif entry.kind != OBJ:
-                    bad("kind-mismatch",
-                        f"{name!r} is not an object constant", where)
-            case FunVarApp(name, args):
-                got = scope.get(name)
-                if got is None:
-                    bad("unknown-name",
-                        f"function variable {name!r} is not in scope", where)
-                elif got[0] != FUNC:
-                    bad("kind-mismatch",
-                        f"{name!r} is not a function variable", where)
-                elif got[1] != len(args):
-                    bad("arity-mismatch",
-                        f"{name!r} takes {got[1]} argument(s), got {len(args)}",
-                        where)
-                if not args:
-                    bad("arity-mismatch",
-                        f"function application {name!r} needs arguments", where)
-                for i, a in enumerate(args):
-                    check_term(a, scope, (where, ".args", i))
-            case FunConstApp(name, args):
-                entry = sig.lookup(name)
-                if entry is None:
-                    bad("unknown-name", f"unknown function {name!r}", where)
-                elif entry.kind != FUNC:
-                    bad("kind-mismatch",
-                        f"{name!r} is not a function constant", where)
-                elif entry.arity != len(args):
-                    bad("arity-mismatch",
-                        f"{name!r} takes {entry.arity} argument(s), "
-                        f"got {len(args)}", where)
-                for i, a in enumerate(args):
-                    check_term(a, scope, (where, ".args", i))
+            case ObjVar(name) | ObjConst(name):
+                check_name(t, name, (), scope, where)
+            case FunVarApp(name, ()):
+                check_name(t, name, (), scope, where)
+                bad("arity-mismatch",
+                    f"function application {name!r} needs arguments", where)
+            case FunVarApp(name, args) | FunConstApp(name, args):
+                check_name(t, name, args, scope, where)
             case The(mtype):
                 check_type(mtype, scope, (where, ".type"))
             case Fraenkel(binders, body, guard):
@@ -461,42 +511,17 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
 
     def check_prop(p: MProp, scope: _Scope, where: hol._Where) -> None:
         match p:
-            case PredVarApp(name, args):
-                got = scope.get(name)
-                if got is None:
-                    bad("unknown-name",
-                        f"predicate variable {name!r} is not in scope", where)
-                elif got[0] != PRED:
-                    bad("kind-mismatch",
-                        f"{name!r} is not a predicate variable", where)
-                elif got[1] != len(args):
-                    bad("arity-mismatch",
-                        f"{name!r} takes {got[1]} argument(s), got {len(args)}",
-                        where)
-                for i, a in enumerate(args):
-                    check_term(a, scope, (where, ".args", i))
-            case PredConstApp(name, args):
-                entry = sig.lookup(name)
-                # attributes and modes double as predicate constants
-                if entry is None:
-                    bad("unknown-name", f"unknown predicate {name!r}", where)
-                elif entry.kind not in (PRED, ATTR, MODE):
-                    bad("kind-mismatch", f"{name!r} is not a predicate", where)
-                elif entry.arity != len(args):
-                    bad("arity-mismatch",
-                        f"{name!r} takes {entry.arity} argument(s), "
-                        f"got {len(args)}", where)
-                for i, a in enumerate(args):
-                    check_term(a, scope, (where, ".args", i))
+            case PredVarApp(name, args) | PredConstApp(name, args):
+                check_name(p, name, args, scope, where)
             case MEq(l, r) | MIn(l, r):
                 check_term(l, scope, (where, ".lhs"))
                 check_term(r, scope, (where, ".rhs"))
             case MNot(a):
                 check_prop(a, scope, (where, ".arg"))
-            case MAnd(l, r) | MOr(l, r) | MImp(l, r) | MIff(l, r):
+            case MConnective(l, r):
                 check_prop(l, scope, (where, ".lhs"))
                 check_prop(r, scope, (where, ".rhs"))
-            case ForBeing(var, mt, body) | ExBeing(var, mt, body):
+            case MQuantifier(var, mt, body):
                 check_type(mt, scope, (where, ".type"))
                 check_prop(body, {**scope, var: (OBJ, 0)}, (where, ".body"))
             case _:

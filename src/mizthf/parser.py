@@ -47,12 +47,11 @@ from functools import partial
 from typing import Callable, NamedTuple, TypeVar
 
 from .mizar import (
-    ATTR, FUNC, MODE, OBJ, PRED,
-    ArityMismatch, Attr, DuplicateName, ExBeing, ForBeing, Fraenkel,
-    FunConstApp, FunDecl, FunVarApp, KindMismatch, MAnd, MEq, MIff, MImp,
-    MIn, MNot, MOr, MProp, MStatement, MTerm, MType, Mode, NonAttr,
-    ObjConst, ObjDecl, ObjVar, ParseError, PredConstApp, PredDecl,
-    PredVarApp, SET, Signature, SourceError, The, UnknownName, VarDecl,
+    BINDINGS, CONNECTIVES, FUNC, NODES, OBJ, PRED, QUANTIFIERS,
+    ArityMismatch, Attr, DuplicateName, Fraenkel, FunDecl, KindMismatch,
+    MEq, MIn, MNot, MProp, MStatement, MTerm, MType, Mode, NonAttr, ObjDecl,
+    ParseError, PredDecl, SET, Signature, SourceError, The, UnknownName,
+    VarDecl, _Scope,
 )
 
 KEYWORDS = frozenset(
@@ -135,7 +134,7 @@ def parse_signature(text: str) -> Signature:
                 sig.declare(_check_name(spec, lineno, col), directive)
             elif directive in ("func", "pred", "mode"):
                 name, _, arity_s = spec.partition("/")
-                if not arity_s or not arity_s.isdigit():
+                if not (arity_s.isascii() and arity_s.isdigit()):
                     raise ParseError(
                         f"expected '{directive} NAME/ARITY'", lineno, col)
                 sig.declare(_check_name(name, lineno, col), directive,
@@ -172,13 +171,12 @@ def parse_statement(text: str, sig: Signature) -> MStatement:
     return _Parser(text, toks, sig).statement()
 
 
-# Scope values mirror well_formed's: (OBJ, 0), (FUNC, n) or (PRED, n).
-_Scope = dict[str, tuple[str, int]]
 _T = TypeVar("_T")
 
-# Binary connectives, loosest first; all associate to the right.
-_CONNECTIVES = (("iff", MIff), ("implies", MImp), ("or", MOr), ("&", MAnd))
-_LEVEL = {text: level for level, (text, _) in enumerate(_CONNECTIVES)}
+# ``CONNECTIVES`` and ``QUANTIFIERS`` by their words.
+_LEVEL = {c.word: c.level for c in CONNECTIVES.values()}
+_CONNECTIVE_AT = {c.level: node for node, c in CONNECTIVES.items()}
+_QUANTIFIER = {q.word: (node, q.body_word) for node, q in QUANTIFIERS.items()}
 
 
 class _Parser:
@@ -300,9 +298,9 @@ class _Parser:
                 entry = self.sig.lookup(attr)
                 if entry is None:
                     raise self.error(UnknownName(attr), at + 1)
-                if entry.kind != ATTR:
-                    raise self.error(KindMismatch(attr, "an attribute"),
-                                     at + 1)
+                rule = BINDINGS[NonAttr]
+                if entry.kind not in rule.kinds:
+                    raise self.error(KindMismatch(attr, rule.wanted), at + 1)
                 return NonAttr(attr, self.mtype(scope))
             if text == "Element":
                 self.pos += 1
@@ -316,19 +314,20 @@ class _Parser:
                 if text in scope or entry is None:
                     raise self.error(UnknownName(text), at)
                 self.pos += 1
-                if entry.kind == ATTR:
+                node = NODES[MType][False].get(entry.kind)
+                if node is Attr:
                     return Attr(text, self.mtype(scope))
-                if entry.kind == MODE:
-                    args: list[MTerm] = []
-                    if self.toks[self.pos] == "(":
-                        self.pos += 1
-                        args = self.comma_list(partial(self.term, scope), ")")
-                    if entry.arity != len(args) + 1:
-                        raise self.error(ArityMismatch(
-                            text, entry.arity - 1, len(args)), at)
-                    return Mode(text, tuple(args))
-                raise self.error(KindMismatch(text, "a mode or attribute"),
-                                 at)
+                if node is None:
+                    raise self.error(
+                        KindMismatch(text, "a mode or attribute"), at)
+                args: list[MTerm] = []
+                if self.toks[self.pos] == "(":
+                    self.pos += 1
+                    args = self.comma_list(partial(self.term, scope), ")")
+                arity = entry.arity - BINDINGS[Mode].subject
+                if arity != len(args):
+                    raise self.error(ArityMismatch(text, arity, len(args)), at)
+                return Mode(text, tuple(args))
             raise self.error(ParseError(f"expected a type, got {text!r}"), at)
 
     # ------------------------------------------------------------- terms
@@ -350,38 +349,30 @@ class _Parser:
         at = self.pos
         name = self.toks[at]
         self.pos += 1
-        got = scope.get(name)
-        if got is not None:
-            kind, arity = got
-            if kind == OBJ:
-                if self.toks[self.pos] == "(":
-                    # the F()-style reference to an object variable
-                    if self.toks[self.pos + 1] != ")":
-                        raise self.error(
-                            KindMismatch(name, "a function variable"), at)
-                    self.pos += 2
-                return ObjVar(name)
-            if kind != FUNC:
-                raise self.error(KindMismatch(name, "usable in a term"), at)
-            app = FunVarApp
-        else:
-            entry = self.sig.lookup(name)
-            if entry is None:
-                raise self.error(UnknownName(name), at)
-            if entry.kind == OBJ:
-                if self.toks[self.pos] == "(":
-                    raise self.error(KindMismatch(name, "a function"), at)
-                return ObjConst(name)
-            if entry.kind != FUNC:
-                raise self.error(KindMismatch(name, "usable in a term"), at)
-            app, arity = FunConstApp, entry.arity
+        scoped = name in scope
+        got = scope[name] if scoped else self.sig.lookup(name)
+        if got is None:
+            raise self.error(UnknownName(name), at)
+        kind, arity = got
+        node = NODES[MTerm][scoped].get(kind)
+        if node is None:
+            raise self.error(KindMismatch(name, "usable in a term"), at)
+        if kind == OBJ:
+            if self.toks[self.pos] == "(":
+                # the F()-style reference to an object variable
+                if not scoped or self.toks[self.pos + 1] != ")":
+                    raise self.error(KindMismatch(
+                        name, "a function variable" if scoped
+                        else "a function"), at)
+                self.pos += 2
+            return node(name)
         if self.toks[self.pos] != "(":
             raise self.error(ArityMismatch(name, arity, 0), at)
         self.pos += 1
         args = self.comma_list(partial(self.term, scope), ")")
         if len(args) != arity:
             raise self.error(ArityMismatch(name, arity, len(args)), at)
-        return app(name, tuple(args))
+        return node(name, tuple(args))
 
     def fraenkel(self, scope: _Scope) -> MTerm:
         open_at = self.pos
@@ -436,19 +427,19 @@ class _Parser:
     # ------------------------------------------------------ propositions
 
     def prop(self, scope: _Scope) -> MProp:
-        """Operands joined by the connectives of ``_CONNECTIVES``.  A
+        """Operands joined by the connectives of ``CONNECTIVES``.  A
         connective waits on ``ops`` until a looser one or the end of the
         proposition closes it, so equal levels fold to the right."""
         with self:
             operands = [self.prop_not(scope)]
             ops: list[int] = []
             while True:
-                level = _LEVEL.get(self.toks[self.pos], -1)
+                level = _LEVEL.get(self.toks[self.pos], 0)
                 while ops and ops[-1] > level:
                     rhs = operands.pop()
-                    operands[-1] = _CONNECTIVES[ops.pop()][1](
+                    operands[-1] = _CONNECTIVE_AT[ops.pop()](
                         operands[-1], rhs)
-                if level < 0:
+                if not level:
                     return operands[0]
                 self.pos += 1
                 ops.append(level)
@@ -473,15 +464,17 @@ class _Parser:
                 p = self.prop(scope)
                 self.expect(")")
                 return p
-            if text in ("for", "ex"):
+            if text in _QUANTIFIER:
                 return self.quantified(scope, text)
             if text not in _RESERVED:
-                pred = self.pred_resolution(text, scope)
+                scoped = text in scope
+                got = scope[text] if scoped else self.sig.lookup(text)
+                node = got and NODES[MProp][scoped].get(got[0])
                 after = self.toks[at + 1]
-                if after == "[" and pred is None:
+                if after == "[" and node is None:
                     raise self.error(KindMismatch(text, "a predicate"), at)
                 args_follow = after in ("(", "[")
-                if pred is not None and (args_follow or pred[1] == 0):
+                if node is not None and (args_follow or got[1] == 0):
                     self.pos += 1
                     args: tuple[MTerm, ...] = ()
                     if args_follow:
@@ -489,10 +482,9 @@ class _Parser:
                         args = tuple(self.comma_list(
                             partial(self.term, scope),
                             "]" if after == "[" else ")"))
-                    node, arity = pred
-                    if len(args) != arity:
+                    if len(args) != got[1]:
                         raise self.error(
-                            ArityMismatch(text, arity, len(args)), at)
+                            ArityMismatch(text, got[1], len(args)), at)
                     return node(text, args)
             return self.relational(scope)
 
@@ -502,35 +494,21 @@ class _Parser:
         ("for x being set ex y being set st ..."); the body keyword is
         "holds" after "for" and "st" after "ex"."""
         with self:
+            node, body_word = _QUANTIFIER[kw]
             self.pos += 1
             names = self.comma_list(partial(self.name, "a variable name"))
             self.expect("being")
             mt = self.mtype(scope)
-            inner = dict(scope)
-            for name in names:
-                inner[name] = (OBJ, 0)
+            inner = {**scope, **dict.fromkeys(names, (OBJ, 0))}
             nxt = self.toks[self.pos]
-            if nxt in ("for", "ex"):
+            if nxt in _QUANTIFIER:
                 body = self.quantified(inner, nxt)
             else:
-                self.expect("holds" if kw == "for" else "st")
+                self.expect(body_word)
                 body = self.prop(inner)
-            ctor = ForBeing if kw == "for" else ExBeing
             for name in reversed(names):
-                body = ctor(name, mt, body)
+                body = node(name, mt, body)
             return body
-
-    def pred_resolution(
-            self, name: str, scope: _Scope) -> tuple[type, int] | None:
-        """How ``name`` would resolve as a predicate: the node it builds
-        and its arity, or None if it is not predicate-like."""
-        got = scope.get(name)
-        if got is not None:
-            return (PredVarApp, got[1]) if got[0] == PRED else None
-        entry = self.sig.lookup(name)
-        if entry is not None and entry.kind in (PRED, ATTR, MODE):
-            return PredConstApp, entry.arity
-        return None
 
     def relational(self, scope: _Scope) -> MProp:
         lhs = self.term(scope)

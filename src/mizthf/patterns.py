@@ -155,6 +155,18 @@ def is_pattern(t: hol.Term, bound: Iterable[str] = ()) -> bool:
 def pattern_match(pairs: Iterable[DisagreementPair]) -> Substitution:
     """Solve the pairs, matching pattern left sides against ground right
     sides.  Raises ``NotAPattern``, ``OccursEscape`` or ``NoMatch``."""
+    return _match((p.context, p.lhs, _ground(p.rhs)) for p in pairs)
+
+
+def _ground(t: hol.Term) -> hol.Term:
+    if hol.metas(t):
+        raise ValueError("right sides must be ground")
+    return hol.beta_normalize(t)
+
+
+def _match(pairs: Iterable[tuple]) -> Substitution:
+    """``pattern_match`` on ``(context, lhs, rhs)`` triples whose right
+    sides are already checked ground and normalized."""
     sigma: dict[Meta, hol.Term] = {}
     # One entry per level, outermost first: the ground side's name for
     # the level's variable and its type.  ``lv`` and ``rv`` map each
@@ -236,14 +248,12 @@ def pattern_match(pairs: Iterable[DisagreementPair]) -> Substitution:
                           ", solution has ", found)
         sigma[meta] = value
 
-    for pair in pairs:
-        if hol.metas(pair.rhs):
-            raise ValueError("right sides must be ground")
-        levels[:] = pair.context
-        names = {name: level for level, (name, _) in enumerate(pair.context)}
-        lhs = subst_metas(pair.lhs, sigma) if sigma else pair.lhs
-        solve(hol.beta_normalize(lhs), hol.beta_normalize(pair.rhs),
-              names, names)
+    for context, lhs, rhs in pairs:
+        levels[:] = context
+        names = {name: level for level, (name, _) in enumerate(context)}
+        if sigma:
+            lhs = subst_metas(lhs, sigma)
+        solve(hol.beta_normalize(lhs), rhs, names, names)
     return Substitution._checked(sigma)
 
 
@@ -298,11 +308,12 @@ def recover_scheme_instantiation(scheme: hol.Term, conjecture: hol.Term,
     if hol.metas(conjecture):
         raise ValueError("conjecture must be ground")
     _, matrix = strip_outer_quantifiers(scheme, k)
+    # checked and normalized once, for every peel attempt
+    conjecture = hol.beta_normalize(conjecture)
     hypotheses: list[hol.Term] = []
     while True:
         try:
-            # pattern_match normalizes the conjecture itself
-            sigma = pattern_match([DisagreementPair((), matrix, conjecture)])
+            sigma = _match([((), matrix, conjecture)])
             break
         except NoMatch as e:
             if isinstance(matrix, Imp):

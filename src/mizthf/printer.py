@@ -10,18 +10,15 @@ appear under a connective; the ``Element of`` sugar is not re-created
 from __future__ import annotations
 
 from .mizar import (
-    Attr, ExBeing, ForBeing, Fraenkel, FunConstApp, FunDecl,
-    FunVarApp, MAnd, MEq, MIff, MImp, MIn, MNot, MOr, MProp, MStatement,
-    MTerm, MType, Mode, NonAttr, ObjConst, ObjDecl, ObjVar, PredConstApp,
-    PredDecl, PredVarApp, SetType, The, VarDecl,
+    CONNECTIVES, QUANTIFIERS,
+    Attr, Fraenkel, FunConstApp, FunDecl, FunVarApp, MConnective, MEq, MIn,
+    MNot, MProp, MQuantifier, MStatement, MTerm, MType, Mode, NonAttr,
+    ObjConst, ObjDecl, ObjVar, PredConstApp, PredDecl, PredVarApp, SetType,
+    The, VarDecl,
 )
 
-_LEVEL_IFF = 1
-_LEVEL_IMP = 2
-_LEVEL_OR = 3
-_LEVEL_AND = 4
-_LEVEL_NOT = 5
-_LEVEL_ATOM = 6
+# ``not`` binds tighter than every connective of ``CONNECTIVES``.
+_LEVEL_NOT = 1 + max(c.level for c in CONNECTIVES.values())
 
 
 def print_statement(s: MStatement) -> str:
@@ -95,24 +92,12 @@ def print_prop(p: MProp, need: int = 0) -> str:
             return f"{print_term(l)} in {print_term(r)}"
         case MNot(a):
             return wrap(f"not {print_prop(a, _LEVEL_NOT)}", _LEVEL_NOT)
-        case MAnd(l, r):
-            s = f"{print_prop(l, _LEVEL_AND + 1)} & {print_prop(r, _LEVEL_AND)}"
-            return wrap(s, _LEVEL_AND)
-        case MOr(l, r):
-            s = f"{print_prop(l, _LEVEL_OR + 1)} or {print_prop(r, _LEVEL_OR)}"
-            return wrap(s, _LEVEL_OR)
-        case MImp(l, r):
-            s = (f"{print_prop(l, _LEVEL_IMP + 1)} implies "
-                 f"{print_prop(r, _LEVEL_IMP)}")
-            return wrap(s, _LEVEL_IMP)
-        case MIff(l, r):
-            s = (f"{print_prop(l, _LEVEL_IFF + 1)} iff "
-                 f"{print_prop(r, _LEVEL_IFF)}")
-            return wrap(s, _LEVEL_IFF)
-        case ForBeing(v, mt, body):
-            s = f"for {v} being {print_type(mt)} holds {print_prop(body)}"
-            return wrap(s, 0)
-        case ExBeing(v, mt, body):
-            s = f"ex {v} being {print_type(mt)} st {print_prop(body)}"
-            return wrap(s, 0)
+        case MConnective(l, r):
+            c = CONNECTIVES[type(p)]
+            return wrap(f"{print_prop(l, c.level + 1)} {c.word} "
+                        f"{print_prop(r, c.level)}", c.level)
+        case MQuantifier(v, mt, body):
+            q = QUANTIFIERS[type(p)]
+            return wrap(f"{q.word} {v} being {print_type(mt)} "
+                        f"{q.body_word} {print_prop(body)}", 0)
     raise TypeError(f"unexpected proposition {p!r}")

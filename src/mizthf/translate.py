@@ -28,13 +28,17 @@ from . import hol
 from .declarations import (
     choice, member, replsep_name, replsep_type,
 )
-from .hol import All, And, Const, Eq, Ex, Imp, IND, Lam, PROP, TOP, Var
+from .hol import All, And, Const, Eq, Imp, IND, Lam, PROP, TOP, Var
 from .mizar import (
-    Attr, ExBeing, ForBeing, Fraenkel, FunConstApp, FunDecl,
-    FunVarApp, MAnd, MEq, MIff, MImp, MIn, MNot, MOr, MProp, MStatement,
-    MTerm, MType, Mode, NonAttr, ObjConst, ObjDecl, ObjVar, PredConstApp,
-    PredDecl, PredVarApp, SetType, Signature, The,
+    CONNECTIVES, QUANTIFIERS,
+    Attr, Fraenkel, FunConstApp, FunDecl, FunVarApp, MConnective, MEq, MIn,
+    MNot, MProp, MQuantifier, MStatement, MTerm, MType, Mode, NonAttr,
+    ObjConst, ObjDecl, ObjVar, PredConstApp, PredDecl, PredVarApp, SetType,
+    Signature, The,
 )
+
+# The largest comprehension binder count, unless a caller sets another.
+MAX_ARITY = 6
 
 
 class TranslationError(Exception):
@@ -49,7 +53,7 @@ class TransEnv:
 
     sig: Signature
     scope: dict[str, hol.Type] = field(default_factory=dict)
-    max_arity: int = 6
+    max_arity: int = MAX_ARITY
 
     def bind(self, name: str, ty: hol.Type) -> TransEnv:
         return TransEnv(self.sig, {**self.scope, name: ty}, self.max_arity)
@@ -91,11 +95,9 @@ def translate_guard(t: MType, env: TransEnv, subject: hol.Term) -> hol.Term:
         case Mode(name, args):
             return hol.apps(env.const(name), subject,
                             *(translate_term(a, env) for a in args))
-        case Attr(name, base):
-            return And(hol.App(env.const(name), subject),
-                       translate_guard(base, env, subject))
-        case NonAttr(name, base):
-            return And(hol.Not(hol.App(env.const(name), subject)),
+        case Attr(name, base) | NonAttr(name, base):
+            holds = hol.App(env.const(name), subject)
+            return And(holds if type(t) is Attr else hol.Not(holds),
                        translate_guard(base, env, subject))
     raise TypeError(f"unexpected type {t!r}")
 
@@ -166,25 +168,17 @@ def translate_prop(p: MProp, env: TransEnv) -> hol.Term:
             return member(translate_term(l, env), translate_term(r, env))
         case MNot(a):
             return hol.Not(translate_prop(a, env))
-        case MAnd(l, r):
-            return And(translate_prop(l, env), translate_prop(r, env))
-        case MOr(l, r):
-            return hol.Or(translate_prop(l, env), translate_prop(r, env))
-        case MImp(l, r):
-            return Imp(translate_prop(l, env), translate_prop(r, env))
-        case MIff(l, r):
-            return hol.Iff(translate_prop(l, env), translate_prop(r, env))
-        case ForBeing(var, mt, body):
-            return _relativize(All, var, mt, env,
-                               translate_prop(body, env.bind(var, IND)))
-        case ExBeing(var, mt, body):
-            return _relativize(Ex, var, mt, env,
+        case MConnective(l, r):
+            return CONNECTIVES[type(p)].target(translate_prop(l, env),
+                                               translate_prop(r, env))
+        case MQuantifier(var, mt, body):
+            return _relativize(QUANTIFIERS[type(p)].target, var, mt, env,
                                translate_prop(body, env.bind(var, IND)))
     raise TypeError(f"unexpected proposition {p!r}")
 
 
 def translate_statement(s: MStatement, sig: Signature,
-                        max_arity: int = 6) -> hol.Term:
+                        max_arity: int = MAX_ARITY) -> hol.Term:
     """The whole statement as a closed proposition, prefix outermost.
 
     Assumes ``well_formed(s, sig)`` is clean; the result is beta-normal
@@ -222,6 +216,7 @@ def translate_statement(s: MStatement, sig: Signature,
 
 
 __all__ = [
-    "TransEnv", "TranslationError", "translate_guard", "translate_type",
-    "translate_term", "translate_prop", "translate_statement",
+    "MAX_ARITY", "TransEnv", "TranslationError", "translate_guard",
+    "translate_type", "translate_term", "translate_prop",
+    "translate_statement",
 ]

@@ -211,6 +211,26 @@ def test_missing_file_exits_two(sig, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_non_utf8_statement_exits_two(tmp_path, sig, capsys):
+    bad = tmp_path / "bad.mst"
+    bad.write_bytes(b"statement : c1 = c1\xff\n")
+    assert main(["emit", str(bad), "--sig", sig]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"{bad}: not UTF-8 text: 'utf-8' codec can't decode "
+                       "byte 0xff in position 19: invalid start byte\n")
+
+
+def test_non_utf8_signature_exits_two(tmp_path, corpus_files, capsys):
+    bad = tmp_path / "bad.sig"
+    bad.write_bytes(b"obj c\xff\n")
+    good = next(p for p in corpus_files if p.stem == "eq_triv")
+    assert main(["check", str(good), "--sig", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"{bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+        "position 5: invalid start byte\n")
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["translate", "x.mst"])

@@ -231,3 +231,119 @@ def test_generated_statements_are_well_formed():
     for _ in range(300):
         stmt = random_statement(rng)
         assert well_formed(stmt, sig) == []
+
+
+_c1 = ObjConst("c1")
+_p0 = PredConstApp("p0", ())
+_A = ObjDecl("A", SET)
+_P = PredDecl("P", (SET,))
+_F = FunDecl("F", (SET,), SET)
+
+
+def _for_x(mtype):
+    return ForBeing("x", mtype, _p0)
+
+
+# One AST per branch of well_formed, as (prefix, body, diagnostics), each
+# diagnostic as (code, message, where).
+_DIAGNOSTIC_CASES = [
+    ((), _for_x(Mode("nomode", ())),
+     [('unknown-name', "unknown mode 'nomode'", 'body.type')]),
+    ((_A,), _for_x(Mode("A", ())),
+     [('kind-mismatch', "'A' is not a mode", 'body.type')]),
+    ((), _for_x(Mode("p1", ())),
+     [('kind-mismatch', "'p1' is not a mode", 'body.type')]),
+    ((), _for_x(Mode("m1_subset_1", ())),
+     [('arity-mismatch', "mode 'm1_subset_1' takes 1 argument(s), got 0",
+       'body.type')]),
+    ((ObjDecl("m1_subset_1", SET),), _for_x(Mode("m1_subset_1", (_c1,))),
+     []),
+    ((), _for_x(Attr("noattr", SET)),
+     [('unknown-name', "unknown attribute 'noattr'", 'body.type')]),
+    ((_A,), _for_x(NonAttr("A", SET)),
+     [('kind-mismatch', "'A' is not an attribute", 'body.type')]),
+    ((), _for_x(Attr("p1", SET)),
+     [('kind-mismatch', "'p1' is not an attribute", 'body.type')]),
+    ((), MEq(ObjVar("x"), _c1),
+     [('unknown-name', "object variable 'x' is not in scope",
+       'body.lhs')]),
+    ((_P,), MEq(ObjVar("P"), _c1),
+     [('kind-mismatch', "'P' is not an object variable", 'body.lhs')]),
+    ((), MEq(ObjConst("ghost"), _c1),
+     [('unknown-name', "unknown constant 'ghost'", 'body.lhs')]),
+    ((_A,), MEq(ObjConst("A"), _c1),
+     [('unknown-name', "unknown constant 'A'", 'body.lhs')]),
+    ((), MEq(ObjConst("f1"), _c1),
+     [('kind-mismatch', "'f1' is not an object constant", 'body.lhs')]),
+    ((), MEq(FunVarApp("G", (_c1,)), _c1),
+     [('unknown-name', "function variable 'G' is not in scope",
+       'body.lhs')]),
+    ((_A,), MEq(FunVarApp("A", (_c1,)), _c1),
+     [('kind-mismatch', "'A' is not a function variable", 'body.lhs')]),
+    ((_F,), MEq(FunVarApp("F", (_c1, _c1)), _c1),
+     [('arity-mismatch', "'F' takes 1 argument(s), got 2", 'body.lhs')]),
+    ((_F,), MEq(FunVarApp("F", ()), _c1),
+     [('arity-mismatch', "'F' takes 1 argument(s), got 0", 'body.lhs'),
+      ('arity-mismatch', "function application 'F' needs arguments",
+       'body.lhs')]),
+    ((FunDecl("F", (), SET),), MEq(FunVarApp("F", ()), _c1),
+     [('arity-mismatch',
+       "function variable 'F' needs at least one argument type", 'prefix[0]'),
+      ('arity-mismatch', "function application 'F' needs arguments",
+       'body.lhs')]),
+    ((), MEq(FunConstApp("g", (_c1,)), _c1),
+     [('unknown-name', "unknown function 'g'", 'body.lhs')]),
+    ((), MEq(FunConstApp("c1", (_c1,)), _c1),
+     [('kind-mismatch', "'c1' is not a function constant", 'body.lhs')]),
+    ((), MEq(FunConstApp("f2", (_c1,)), _c1),
+     [('arity-mismatch', "'f2' takes 2 argument(s), got 1", 'body.lhs')]),
+    ((), MEq(FunConstApp("f1", ()), _c1),
+     [('arity-mismatch', "'f1' takes 1 argument(s), got 0", 'body.lhs')]),
+    ((), PredVarApp("Q", (_c1,)),
+     [('unknown-name', "predicate variable 'Q' is not in scope",
+       'body')]),
+    ((_A,), PredVarApp("A", ()),
+     [('kind-mismatch', "'A' is not a predicate variable", 'body')]),
+    ((_P,), PredVarApp("P", ()),
+     [('arity-mismatch', "'P' takes 1 argument(s), got 0", 'body')]),
+    ((), PredConstApp("nopred", ()),
+     [('unknown-name', "unknown predicate 'nopred'", 'body')]),
+    ((), PredConstApp("c1", ()),
+     [('kind-mismatch', "'c1' is not a predicate", 'body')]),
+    ((), PredConstApp("p2", (_c1,)),
+     [('arity-mismatch', "'p2' takes 2 argument(s), got 1", 'body')]),
+    ((), PredConstApp("v1_empty", (_c1,)),
+     []),
+    ((), PredConstApp("m1_subset_1", (_c1,)),
+     [('arity-mismatch', "'m1_subset_1' takes 2 argument(s), got 1",
+       'body')]),
+    ((_P,), PredConstApp("P", (_c1,)),
+     [('unknown-name', "unknown predicate 'P'", 'body')]),
+    ((), MEq(The(_c1), _c1),
+     [('bad-node', "not an MType: ObjConst(name='c1')",
+       'body.lhs.type')]),
+    ((), MEq(SET, _c1),
+     [('bad-node', 'not an MTerm: SetType()', 'body.lhs')]),
+    ((), MNot(_c1),
+     [('bad-node', "not an MProp: ObjConst(name='c1')", 'body.arg')]),
+    ((SET,), _p0,
+     [('bad-node', 'not a declaration: SetType()', 'prefix[0]')]),
+    ((), MIn(Fraenkel((), _c1, _p0), _c1),
+     [('empty-binders', 'comprehension needs at least one binder',
+       'body.lhs')]),
+    ((), MIn(Fraenkel((("u", SET), ("u", SET)), ObjVar("u"), _p0), _c1),
+     [('duplicate-binder', "binder 'u' repeated",
+       'body.lhs.binders[1]')]),
+    ((_A, _A), _p0,
+     [('duplicate-decl', "'A' declared twice in prefix",
+       'prefix[1]')]),
+    ((PredDecl("A", ()), _A), _p0,
+     [('duplicate-decl', "'A' declared twice in prefix",
+       'prefix[1]')]),
+]
+
+
+@pytest.mark.parametrize("prefix, body, expected", _DIAGNOSTIC_CASES)
+def test_well_formed_diagnostic_details(prefix, body, expected):
+    diags = well_formed(MStatement(prefix, body), rich_signature())
+    assert [(d.code, d.message, d.where) for d in diags] == expected

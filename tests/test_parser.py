@@ -71,6 +71,16 @@ def test_signature_error_positions():
     assert (info.value.line, info.value.col) == (2, 6)
 
 
+@pytest.mark.parametrize("line", ["func f/\u0663", "pred p/\u00b2"])
+def test_signature_arity_is_ascii_digits(line):
+    # "\u0663" is ARABIC-INDIC DIGIT THREE, "\u00b2" SUPERSCRIPT TWO
+    with pytest.raises(ParseError) as info:
+        parse_signature(f"obj c\n{line}\n")
+    directive = line.split()[0]
+    assert (info.value.message, info.value.line, info.value.col) == (
+        f"expected '{directive} NAME/ARITY'", 2, len(directive) + 2)
+
+
 @pytest.mark.parametrize("text,tokens", [
     # a trailing comment leaves eof where the comment starts
     ("c1 = c1 # trailing", [("name", "c1", 1, 1), ("sym", "=", 1, 4),
