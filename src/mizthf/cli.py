@@ -1,7 +1,8 @@
 """Command line front end.
 
-Subcommands mirror the pipeline: ``check`` runs the well-formedness
-pass, ``translate`` shows the higher-order form of one statement,
+Subcommands mirror the pipeline: ``check`` parses and translates each
+statement file as the other commands do and reports each file's error,
+``translate`` shows the higher-order form of one statement,
 ``emit`` assembles a THF0 problem from a conjecture and axiom files,
 ``match`` recovers a scheme instantiation, and ``prove`` hands an
 emitted problem to an external prover and reads back its SZS status.
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import hol, thf
-from .mizar import MStatement, Signature, SourceError, well_formed
+from .mizar import MStatement, Signature, SourceError
 from .parser import parse_signature, parse_statement
 from .patterns import MatchError, recover_scheme_instantiation
 from .thfcheck import check_thf
@@ -55,14 +56,6 @@ def _load(path: str, parse: Callable[..., _T], *args: object) -> _T:
         raise
 
 
-def _well_formed_statement(text: str, sig: Signature) -> MStatement:
-    statement = parse_statement(text, sig)
-    diags = well_formed(statement, sig)
-    if diags:
-        raise SourceError("; ".join(str(d) for d in diags))
-    return statement
-
-
 def _positioned(err: SourceError) -> str:
     where = [str(p) for p in (err.path, err.line, err.col) if p is not None]
     return f"{':'.join(where)}: {err}" if where else str(err)
@@ -85,22 +78,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     status = 0
     for path in args.files:
         try:
-            statement = _load(path, parse_statement, sig)
+            _translate_file(path, sig, args.max_arity)
         except SourceError as e:
             print(_positioned(e), file=sys.stderr)
             status = 1
-            continue
-        diags = well_formed(statement, sig)
-        for d in diags:
-            print(f"{path}: {d}", file=sys.stderr)
-        if diags:
+        except TranslationError as e:
+            print(f"{path}: {e}", file=sys.stderr)
             status = 1
     return status
 
 
 def _translate_file(path: str, sig: Signature,
                     max_arity: int) -> tuple[MStatement, hol.Term]:
-    statement = _load(path, _well_formed_statement, sig)
+    statement = _load(path, parse_statement, sig)
     return statement, translate_statement(statement, sig,
                                           max_arity=max_arity)
 
@@ -206,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N", help="largest comprehension binder count "
                                          "(default %(default)s)")
 
-    p = sub.add_parser("check", help="report well-formedness diagnostics")
+    p = sub.add_parser("check", help="report what keeps each statement "
+                                     "from translating")
     p.add_argument("files", nargs="+")
     common(p)
     p.set_defaults(run=cmd_check)

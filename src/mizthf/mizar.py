@@ -36,6 +36,10 @@ ATTR = "attr"
 
 MEMBER = "in"  # the membership keyword, never a signature entry
 
+# The largest arity a signature may declare: a function and a predicate
+# of it emit in one statement, where about 330 exhausts the stack.
+MAX_SIG_ARITY = 255
+
 # names the translation target reserves for its own constant family
 _RESERVED = re.compile(r"eps|r2_hidden|sethood|replSep_[0-9]+")
 
@@ -82,6 +86,8 @@ class Signature:
             raise ValueError("negative arity")
         if kind not in (OBJ, FUNC, PRED, MODE, ATTR):
             raise ValueError(f"unknown signature kind {kind!r}")
+        if arity > MAX_SIG_ARITY:
+            raise ValueError(f"arity is above the limit of {MAX_SIG_ARITY}")
         self._entries[name] = SigEntry(kind, arity)
 
     def tag_elementof(self, name: str) -> None:
@@ -364,9 +370,10 @@ class Binding:
     """Where a named node finds its name: a ``scoped`` node in the prefix
     or a binder, any other in the signature.  The entry must have one of
     ``kinds`` and take the node's arguments plus ``subject``, the implicit
-    subject of a type; a type's name bound in scope has the wrong kind.
-    Diagnostics name the node by ``noun`` (an unknown name, a type's
-    arity) and the kind it needs by ``wanted``."""
+    subject of a type.  A type's name comes from the signature even
+    where the same name is bound; a name that is only bound has the
+    wrong kind there.  Diagnostics name the node by ``noun`` (an unknown
+    name, a type's arity) and the kind it needs by ``wanted``."""
 
     scoped: bool
     kinds: tuple[str, ...]

@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from typing import Callable, NamedTuple, TypeVar
+from typing import Any, Callable, NamedTuple, TypeVar
 
 from .mizar import (
-    BINDINGS, CONNECTIVES, FUNC, NODES, OBJ, PRED, QUANTIFIERS,
+    BINDINGS, CONNECTIVES, FUNC, MAX_SIG_ARITY, NODES, OBJ, PRED,
+    QUANTIFIERS,
     ArityMismatch, Attr, DuplicateName, Fraenkel, FunDecl, KindMismatch,
     MEq, MIn, MNot, MProp, MStatement, MTerm, MType, Mode, NonAttr, ObjDecl,
     ParseError, PredDecl, SET, Signature, SourceError, The, UnknownName,
@@ -137,6 +138,8 @@ def parse_signature(text: str) -> Signature:
                 if not (arity_s.isascii() and arity_s.isdigit()):
                     raise ParseError(
                         f"expected '{directive} NAME/ARITY'", lineno, col)
+                if len(arity_s.lstrip("0")) > len(str(MAX_SIG_ARITY)):
+                    arity_s = str(MAX_SIG_ARITY + 1)  # int() reads no more
                 sig.declare(_check_name(name, lineno, col), directive,
                             int(arity_s))
             elif directive == "elementof":
@@ -177,6 +180,26 @@ _T = TypeVar("_T")
 _LEVEL = {c.word: c.level for c in CONNECTIVES.values()}
 _CONNECTIVE_AT = {c.level: node for node, c in CONNECTIVES.items()}
 _QUANTIFIER = {q.word: (node, q.body_word) for node, q in QUANTIFIERS.items()}
+
+
+class _Slot(NamedTuple):
+    """Where a category of named node is parsed: the nodes a name makes
+    there by whether it is bound and its kind (``NODES``; no bound name
+    makes a type), the brackets that may hold its arguments, and what a
+    name of no such kind is told it is not."""
+
+    nodes: dict[bool, dict[str, type]]
+    brackets: dict[str, str]
+    wanted: str
+
+
+_TERM = _Slot(NODES[MTerm], {"(": ")"}, "usable in a term")
+_PROP = _Slot(NODES[MProp], {"(": ")", "[": "]"}, "a predicate")
+_TYPE = _Slot(NODES[MType], {"(": ")"}, "a mode or attribute")
+_NON = _Slot({True: {}, False: dict.fromkeys(BINDINGS[NonAttr].kinds,
+                                             NonAttr)},
+             {}, BINDINGS[NonAttr].wanted)  # after ``non``
+_BASED = (Attr, NonAttr)  # a base type follows the name
 
 
 class _Parser:
@@ -294,14 +317,8 @@ class _Parser:
                 return SET
             if text == "non":
                 self.pos += 1
-                attr = self.name("an attribute name")
-                entry = self.sig.lookup(attr)
-                if entry is None:
-                    raise self.error(UnknownName(attr), at + 1)
-                rule = BINDINGS[NonAttr]
-                if entry.kind not in rule.kinds:
-                    raise self.error(KindMismatch(attr, rule.wanted), at + 1)
-                return NonAttr(attr, self.mtype(scope))
+                self.name("an attribute name")
+                return self.named(_NON, scope, at + 1)
             if text == "Element":
                 self.pos += 1
                 self.expect("of")
@@ -310,24 +327,7 @@ class _Parser:
                         "no mode is tagged 'elementof' in the signature"), at)
                 return Mode(self.sig.elementof, (self.term(scope),))
             if text not in _RESERVED:
-                entry = self.sig.lookup(text)
-                if text in scope or entry is None:
-                    raise self.error(UnknownName(text), at)
-                self.pos += 1
-                node = NODES[MType][False].get(entry.kind)
-                if node is Attr:
-                    return Attr(text, self.mtype(scope))
-                if node is None:
-                    raise self.error(
-                        KindMismatch(text, "a mode or attribute"), at)
-                args: list[MTerm] = []
-                if self.toks[self.pos] == "(":
-                    self.pos += 1
-                    args = self.comma_list(partial(self.term, scope), ")")
-                arity = entry.arity - BINDINGS[Mode].subject
-                if arity != len(args):
-                    raise self.error(ArityMismatch(text, arity, len(args)), at)
-                return Mode(text, tuple(args))
+                return self.named(_TYPE, scope, at)
             raise self.error(ParseError(f"expected a type, got {text!r}"), at)
 
     # ------------------------------------------------------------- terms
@@ -341,35 +341,51 @@ class _Parser:
             if text == "{":
                 return self.fraenkel(scope)
             if text not in _RESERVED:
-                return self.named_term(scope)
+                return self.named(_TERM, scope, self.pos)
             raise self.error(ParseError(f"expected a term, got {text!r}"),
                              self.pos)
 
-    def named_term(self, scope: _Scope) -> MTerm:
-        at = self.pos
-        name = self.toks[at]
-        self.pos += 1
-        scoped = name in scope
+    def named(self, slot: _Slot, scope: _Scope, at: int) -> Any:
+        """The named node whose name is the token at ``at``, in
+        ``slot``: the name's kind picks the node, then come the node's
+        arguments or base type.  Every name in a statement is judged
+        here.  In ``_PROP``, a name that makes no predicate and has no
+        ``[`` after it returns ``None``, and the caller reads a term."""
+        toks = self.toks
+        name = toks[at]
+        nodes = slot.nodes
+        # a type's name comes from the signature even where it is bound
+        scoped = name in scope and bool(nodes[True])
         got = scope[name] if scoped else self.sig.lookup(name)
-        if got is None:
-            raise self.error(UnknownName(name), at)
-        kind, arity = got
-        node = NODES[MTerm][scoped].get(kind)
-        if node is None:
-            raise self.error(KindMismatch(name, "usable in a term"), at)
-        if kind == OBJ:
-            if self.toks[self.pos] == "(":
+        node = got and nodes[scoped].get(got[0])
+        close = slot.brackets.get(toks[at + 1])
+        if slot is _PROP and close != "]" and not (
+                node and (close or not got[1])):
+            return None
+        if not node:
+            # a bound name where the signature's is wanted, or any name
+            # before a predicate's "[", has the wrong kind
+            raise self.error(
+                UnknownName(name) if got is None and name not in scope
+                and slot is not _PROP else KindMismatch(name, slot.wanted),
+                at)
+        self.pos = at + 1
+        if node in _BASED:
+            return node(name, self.mtype(scope))
+        if got[0] == OBJ:
+            if close:
                 # the F()-style reference to an object variable
-                if not scoped or self.toks[self.pos + 1] != ")":
+                if not scoped or toks[at + 2] != ")":
                     raise self.error(KindMismatch(
                         name, "a function variable" if scoped
                         else "a function"), at)
                 self.pos += 2
             return node(name)
-        if self.toks[self.pos] != "(":
-            raise self.error(ArityMismatch(name, arity, 0), at)
-        self.pos += 1
-        args = self.comma_list(partial(self.term, scope), ")")
+        args: list[MTerm] = []
+        if close:
+            self.pos += 1
+            args = self.comma_list(partial(self.term, scope), close)
+        arity = got[1] - BINDINGS[node].subject
         if len(args) != arity:
             raise self.error(ArityMismatch(name, arity, len(args)), at)
         return node(name, tuple(args))
@@ -466,27 +482,9 @@ class _Parser:
                 return p
             if text in _QUANTIFIER:
                 return self.quantified(scope, text)
-            if text not in _RESERVED:
-                scoped = text in scope
-                got = scope[text] if scoped else self.sig.lookup(text)
-                node = got and NODES[MProp][scoped].get(got[0])
-                after = self.toks[at + 1]
-                if after == "[" and node is None:
-                    raise self.error(KindMismatch(text, "a predicate"), at)
-                args_follow = after in ("(", "[")
-                if node is not None and (args_follow or got[1] == 0):
-                    self.pos += 1
-                    args: tuple[MTerm, ...] = ()
-                    if args_follow:
-                        self.pos += 1
-                        args = tuple(self.comma_list(
-                            partial(self.term, scope),
-                            "]" if after == "[" else ")"))
-                    if len(args) != got[1]:
-                        raise self.error(
-                            ArityMismatch(text, got[1], len(args)), at)
-                    return node(text, args)
-            return self.relational(scope)
+            # a predicate, or else the left side of "=" or "in"
+            return (text not in _RESERVED and self.named(_PROP, scope, at)
+                    or self.relational(scope))
 
     def quantified(self, scope: _Scope, kw: str) -> MProp:
         """One quantifier block, from the ``kw`` at ``pos``.  Variables

@@ -181,7 +181,8 @@ def translate_statement(s: MStatement, sig: Signature,
                         max_arity: int = MAX_ARITY) -> hol.Term:
     """The whole statement as a closed proposition, prefix outermost.
 
-    Assumes ``well_formed(s, sig)`` is clean; the result is beta-normal
+    Assumes ``s`` is well formed, as what ``parse_statement`` returns is
+    (``well_formed`` checks a hand-built AST); the result is beta-normal
     and has type ``o`` under the signature's constants.
     """
     env = TransEnv(sig, {}, max_arity)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import string
+from dataclasses import replace
 
 from mizthf import hol
 from mizthf.hol import (
@@ -19,9 +20,9 @@ from mizthf.hol import (
 from mizthf import mizar
 from mizthf.mizar import (
     Attr, ExBeing, ForBeing, Fraenkel, FunConstApp, FunDecl, FunVarApp,
-    MAnd, MEq, MIff, MImp, MIn, MNot, MOr, MStatement, Mode, NonAttr,
-    ObjConst, ObjDecl, ObjVar, PredConstApp, PredDecl, PredVarApp, SET,
-    Signature, The,
+    MAnd, MEq, MIff, MImp, MIn, MNot, MOr, MQuantifier, MStatement, MType,
+    Mode, NonAttr, ObjConst, ObjDecl, ObjVar, PredConstApp, PredDecl,
+    PredVarApp, SET, Signature, The,
 )
 
 
@@ -113,6 +114,11 @@ def rich_signature() -> Signature:
     sig.declare("v1_empty", "attr")
     sig.tag_elementof("m1_subset_1")
     return sig
+
+
+# The names ``rich_signature`` declares.
+RICH_NAMES = ("c1", "c2", "f1", "f2", "p0", "p1", "p2", "m1_subset_1",
+              "m2_pair", "v1_empty")
 
 
 class _StatementGen:
@@ -239,6 +245,95 @@ class _StatementGen:
 
 def random_statement(rng: random.Random, fuel: int = 4) -> MStatement:
     return _StatementGen(rng).statement(fuel)
+
+
+# Each named node class with its twin of the other binding side, which
+# the printer writes with the other bracket (``P[x]`` against ``p(x)``).
+_TWIN = {
+    ObjVar: ObjConst, ObjConst: ObjVar, FunVarApp: FunConstApp,
+    FunConstApp: FunVarApp, PredVarApp: PredConstApp,
+    PredConstApp: PredVarApp,
+}
+_NAMED = (*_TWIN, Mode, Attr, NonAttr)
+
+
+class _Mutator:
+    """Rebuilds a statement, changing the ``target``-th named node met
+    in a pre-order walk; ``seen`` counts the named nodes up to it.  The
+    walk keeps the bound names in scope as ``well_formed`` does, and
+    returns every subtree it did not change as it was."""
+
+    def __init__(self, rng: random.Random, target: float):
+        self.rng = rng
+        self.target = target
+        self.seen = 0
+
+    def node(self, n: object, scope: tuple[str, ...]) -> object:
+        if self.seen > self.target or isinstance(n, str):
+            return n
+        if isinstance(n, _NAMED):
+            if self.seen == self.target:
+                n = self.mutate(n, scope)
+            self.seen += 1
+        if isinstance(n, MQuantifier):
+            return replace(n, mtype=self.node(n.mtype, scope),
+                           body=self.node(n.body, scope + (n.var,)))
+        if isinstance(n, Fraenkel):
+            binders, inner = [], scope
+            for name, mt in n.binders:
+                binders.append((name, self.node(mt, inner)))
+                inner += (name,)
+            return Fraenkel(tuple(binders), self.node(n.body, inner),
+                            self.node(n.guard, inner))
+        changes = {}
+        for name in n.__dataclass_fields__:
+            value = getattr(n, name)
+            if isinstance(value, tuple):
+                new = tuple(self.node(v, scope) for v in value)
+                changed = any(a is not b for a, b in zip(new, value))
+            else:
+                new = self.node(value, scope)
+                changed = new is not value
+            if changed:
+                changes[name] = new
+        return replace(n, **changes) if changes else n
+
+    def mutate(self, n, scope: tuple[str, ...]):
+        rng = self.rng
+        how = rng.choice(["name", "name", "count", "twin", "bound"])
+        if how == "count" and hasattr(n, "args"):
+            args = list(n.args)
+            if args and rng.random() < 0.5:
+                del args[rng.randrange(len(args))]
+            else:
+                args.insert(rng.randint(0, len(args)), ObjConst("c1"))
+            return replace(n, args=tuple(args))
+        if how == "twin" and type(n) in _TWIN:
+            return _TWIN[type(n)](**vars(n))
+        if how == "bound" and isinstance(n, MType) and scope:
+            return replace(n, name=rng.choice(scope))
+        return replace(n, name=rng.choice(RICH_NAMES + scope))
+
+
+def _rebuild(mutator: _Mutator, s: MStatement) -> MStatement:
+    prefix, scope = [], ()
+    for decl in s.prefix:
+        prefix.append(mutator.node(decl, scope))
+        scope += (decl.name,)
+    return MStatement(tuple(prefix), mutator.node(s.body, scope), s.name)
+
+
+def mutate_statement(rng: random.Random, s: MStatement) -> MStatement:
+    """``s`` with one named node changed: its name swapped for another
+    ``rich_signature`` or bound name, an argument added or dropped, its binding
+    side swapped (``P[x]`` against ``p(x)``), or, for a type, its name
+    swapped for a bound one.  The result may still be well formed; a
+    statement with no named node comes back unchanged."""
+    counter = _Mutator(rng, float("inf"))
+    _rebuild(counter, s)
+    if not counter.seen:
+        return s
+    return _rebuild(_Mutator(rng, rng.randrange(counter.seen)), s)
 
 
 # ----------------------------------------------------- pattern planting

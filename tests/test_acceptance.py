@@ -13,7 +13,8 @@ import time
 from dataclasses import fields, is_dataclass
 
 from generators import (
-    fuzz_source, planted_problem, random_statement, rich_signature,
+    fuzz_source, mutate_statement, planted_problem, random_statement,
+    rich_signature,
 )
 from mizthf import base_declarations, hol
 from mizthf.declarations import (
@@ -23,8 +24,9 @@ from mizthf.hol import (
     All, And, App, Const, Eq, Ex, Iff, Imp, IND, Lam, PROP, Var, alpha_eq,
     ambient_context, apps, fn, lams, type_of,
 )
-from mizthf.mizar import Fraenkel, PredDecl, SourceError, The
+from mizthf.mizar import Fraenkel, PredDecl, SourceError, The, well_formed
 from mizthf.parser import parse_signature, parse_statement
+from mizthf.printer import print_statement
 from mizthf.patterns import (
     DisagreementPair, pattern_match, recover_scheme_instantiation,
 )
@@ -309,3 +311,30 @@ def test_criterion_8_matcher_soundness():
     verdict(8, "matcher soundness", solved == total,
             f"{solved}/{total} planted problems reproduced, "
             f"{elapsed:.1f} s")
+
+
+def test_parser_and_well_formed_agree():
+    """Beside the criteria: the parser and ``well_formed`` judge names
+    alike.  (a) What ``parse_statement`` returns is well formed; (b) a
+    well-formed AST parses back from its print; (c) an ill-formed one
+    never does."""
+    sig = rich_signature()
+    rng = random.Random(20261019)
+    statements = [random_statement(rng) for _ in range(3000)]
+    mutants = [mutate_statement(rng, statements[i % 3000])
+               for i in range(10_000)]
+    outcomes = {"refused": 0, "parsed back": 0, "parsed otherwise": 0}
+    for s in statements + mutants:
+        text = print_statement(s)
+        clean = well_formed(s, sig) == []
+        try:
+            got = parse_statement(text, sig)
+        except SourceError:
+            assert not clean, text
+            outcomes["refused"] += 1
+            continue
+        assert well_formed(got, sig) == [], text
+        assert (got == s) == clean, text
+        outcomes["parsed back" if got == s else "parsed otherwise"] += 1
+    # the mutants reach every outcome, not only refusals
+    assert min(outcomes.values()) > 500, outcomes

@@ -10,6 +10,7 @@ import pytest
 
 from mizthf import check_thf, thf
 from mizthf.cli import main
+from mizthf.mizar import MAX_SIG_ARITY
 from mizthf.thfcheck import MAX_DEPTH
 
 
@@ -117,6 +118,45 @@ def test_deep_input_is_one_line_not_a_traceback(tmp_path, sig, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_check_passes_what_translate_passes(tmp_path, sig, capsys):
+    src = tmp_path / "wide.mst"
+    binders = ", ".join(f"u{i} is set" for i in range(8))
+    src.write_text(
+        f"statement : c1 in {{ f1(u0) where {binders} : p1(u0) }}\n")
+    assert main(["translate", str(src), "--sig", sig]) == 1
+    refused = capsys.readouterr().err
+    assert "binder" in refused
+    good = tmp_path / "good.mst"
+    good.write_text("statement : c1 = c1\n")
+    assert main(["check", str(src), str(good), "--sig", sig]) == 1
+    assert capsys.readouterr().err == f"{src}: {refused}"
+    for command in ("check", "translate"):
+        assert main([command, str(src), "--sig", sig,
+                     "--max-arity", "8"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def _arity_files(tmp_path, arity):
+    sig = tmp_path / "wide.sig"
+    sig.write_text(f"obj c\nfunc f/{arity}\npred q/{arity}\n")
+    src = tmp_path / "wide.mst"
+    src.write_text("statement : q(f(" + ", ".join(["c"] * arity) + "), "
+                   + ", ".join(["c"] * (arity - 1)) + ")\n")
+    return str(sig), str(src)
+
+
+def test_signature_arity_bound_emits(tmp_path, capsys):
+    sig, src = _arity_files(tmp_path, MAX_SIG_ARITY)
+    assert main(["emit", src, "--sig", sig]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert check_thf(captured.out) == []
+    sig, src = _arity_files(tmp_path, MAX_SIG_ARITY + 1)
+    assert main(["emit", src, "--sig", sig]) == 1
+    assert capsys.readouterr().err == (
+        f"{sig}:2:6: arity is above the limit of {MAX_SIG_ARITY}\n")
 
 
 def test_match_replacement(sig, corpus_files, capsys):

@@ -9,10 +9,10 @@ import pytest
 from mizthf import Signature, well_formed
 from mizthf.hol import IND, PROP, fn
 from mizthf.mizar import (
-    Attr, DuplicateName, ExBeing, ForBeing, Fraenkel, FunConstApp, FunDecl,
-    FunVarApp, KindMismatch, MAnd, MEq, MIn, MNot, MStatement, Mode, NonAttr,
-    ObjConst, ObjDecl, ObjVar, PredConstApp, PredDecl, PredVarApp, SET,
-    The, UnknownName,
+    MAX_SIG_ARITY, Attr, DuplicateName, ExBeing, ForBeing, Fraenkel,
+    FunConstApp, FunDecl, FunVarApp, KindMismatch, MAnd, MEq, MIn, MNot,
+    MStatement, Mode, NonAttr, ObjConst, ObjDecl, ObjVar, PredConstApp,
+    PredDecl, PredVarApp, SET, The, UnknownName,
 )
 
 from generators import random_statement, rich_signature
@@ -61,6 +61,15 @@ def test_signature_rejects_bad_declarations():
                      "replSep_99"):
         with pytest.raises(ValueError):
             sig.declare(reserved, "obj")
+
+
+def test_signature_arity_bound():
+    sig = Signature()
+    for kind in ("func", "pred", "mode"):
+        sig.declare(kind, kind, MAX_SIG_ARITY)
+        with pytest.raises(ValueError, match="above the limit of 255"):
+            sig.declare(kind + "2", kind, MAX_SIG_ARITY + 1)
+    assert sig.lookup("pred").arity == MAX_SIG_ARITY
 
 
 def test_elementof_tagging():
@@ -260,6 +269,8 @@ _DIAGNOSTIC_CASES = [
      []),
     ((), _for_x(Attr("noattr", SET)),
      [('unknown-name', "unknown attribute 'noattr'", 'body.type')]),
+    ((_A,), _for_x(Attr("A", SET)),
+     [('kind-mismatch', "'A' is not an attribute", 'body.type')]),
     ((_A,), _for_x(NonAttr("A", SET)),
      [('kind-mismatch', "'A' is not an attribute", 'body.type')]),
     ((), _for_x(Attr("p1", SET)),

@@ -11,11 +11,15 @@ from mizthf.mizar import (
     ArityMismatch, Attr, DuplicateName, ExBeing, ForBeing, Fraenkel,
     FunConstApp, FunDecl, KindMismatch, MAnd, MEq, MIff, MImp, MIn, MNot,
     MOr, MStatement, Mode, NonAttr, ObjConst, ObjDecl, ObjVar, ParseError,
-    PredConstApp, PredDecl, PredVarApp, SET, SourceError, The, UnknownName,
+    MAX_SIG_ARITY, PredConstApp, PredDecl, PredVarApp, SET, SourceError,
+    The, UnknownName,
 )
 from mizthf import parser
 from mizthf.parser import tokenize
 from mizthf.printer import print_statement
+from mizthf.thf import assemble_problem, emit_thf
+from mizthf.thfcheck import check_thf
+from mizthf.translate import translate_statement
 
 from generators import fuzz_source, random_statement, rich_signature
 
@@ -52,6 +56,10 @@ def test_parse_signature_roundtrip():
     ("pred in/2", ParseError),  # "in" is a keyword before it is a name
     ("obj ²x", ParseError),  # "²" is a word character but no word start
     ("func ١/1", ParseError),
+    ("func f/256", ParseError),  # above MAX_SIG_ARITY
+    ("pred p/100000000", ParseError),
+    pytest.param("func f/" + "9" * 5000, ParseError,  # more than int() reads
+                 id="func f/9*5000"),
 ])
 def test_parse_signature_errors(line, error):
     with pytest.raises(error) as info:
@@ -79,6 +87,23 @@ def test_signature_arity_is_ascii_digits(line):
     directive = line.split()[0]
     assert (info.value.message, info.value.line, info.value.col) == (
         f"expected '{directive} NAME/ARITY'", 2, len(directive) + 2)
+
+
+@pytest.mark.parametrize("line", [
+    "func f/256", "pred p/0256", "mode m/100000000",
+    pytest.param("func f/" + "9" * 5000, id="func f/9*5000"),
+])
+def test_signature_arity_bound_is_positioned(line):
+    assert MAX_SIG_ARITY == 255
+    with pytest.raises(ParseError) as info:
+        parse_signature(f"obj c\n{line}\n")
+    assert (info.value.message, info.value.line, info.value.col) == (
+        "arity is above the limit of 255", 2, len(line.split()[0]) + 2)
+
+
+def test_signature_arity_bound_is_inclusive():
+    sig = parse_signature("func f/255\npred p/000255\nmode m/255\n")
+    assert [sig.lookup(n).arity for n in "fpm"] == [255] * 3
 
 
 @pytest.mark.parametrize("text,tokens", [
@@ -306,6 +331,9 @@ DEEP = "statement : " + "(" * 300 + "c1 = c1" + ")" * 300
      "duplicate declaration of 'A'", 1, 24),
     ("statement : c1 in { u where u is set, u is set : u = u }",
      DuplicateName, "duplicate declaration of 'u'", 1, 39),
+    # a type's name comes from the signature; a bound one is no type
+    ("scheme S { A() -> set } : for x being A holds p1[x]", KindMismatch,
+     "'A' is not a mode or attribute", 1, 39),
     # later lines, after tabs, carriage returns and comments
     ("statement :\n  c1 ~ c2", ParseError, "stray character '~'", 2, 6),
     ("statement :\n\tc1 = # note\n\r ghost", UnknownName,
@@ -330,6 +358,23 @@ def test_parse_error_details(src, error, message, line, col):
     got = info.value
     assert (type(got), got.message, got.line, got.col) == (
         error, message, line, col)
+
+
+FOUND_25 = ("scheme S { m1_subset_1() -> set } : "
+            "for x being m1_subset_1(m1_subset_1) holds p1(x)")
+
+
+def test_type_names_come_from_the_signature():
+    """A prefix variable named like a mode leaves the mode usable as a
+    type; in the mode's argument, the name is the variable."""
+    got = parse_statement(FOUND_25, SIG)
+    assert got == MStatement(
+        (ObjDecl("m1_subset_1", SET),),
+        ForBeing("x", Mode("m1_subset_1", (ObjVar("m1_subset_1"),)),
+                 PredConstApp("p1", (ObjVar("x"),))), "S")
+    assert well_formed(got, SIG) == []
+    term = translate_statement(got, SIG)
+    assert check_thf(emit_thf(assemble_problem(term, [], SIG))) == []
 
 
 def test_element_of_error_details():
