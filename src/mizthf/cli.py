@@ -32,6 +32,7 @@ from .thfcheck import check_thf
 from .translate import MAX_ARITY, TranslationError, translate_statement
 
 _T = TypeVar("_T")
+_TOO_DEEP = "input nests too deeply to process"
 
 
 def _fail(message: str, code: int) -> int:
@@ -84,6 +85,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             status = 1
         except TranslationError as e:
             print(f"{path}: {e}", file=sys.stderr)
+            status = 1
+        except RecursionError:
+            print(f"{path}: {_TOO_DEEP}", file=sys.stderr)
             status = 1
     return status
 
@@ -251,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(e), 1)
     except RecursionError:
         # a nesting no layer bounds yet ran out of Python stack
-        return _fail("input nests too deeply to process", 1)
+        return _fail(_TOO_DEEP, 1)
 
 
 if __name__ == "__main__":

@@ -12,16 +12,18 @@ structure by de Bruijn level, ``subst_var`` renames on capture, and
 ``beta_normalize`` produces the beta-normal form (no eta).
 
 ``children`` and ``map_children`` are the only code outside typing and
-printing that lists the constructor shapes.  Every other walk, here
-and in ``patterns``, handles the cases where it differs (variables,
-metavariables, binders) and hands the rest to that pair, so a new
-constructor needs only those two to change.
+printing that lists the constructor shapes, each as one table keyed on
+a term's exact class (so a constructor's subclass is foreign to them).
+Every other walk, here and in ``patterns``, handles the cases where it
+differs (variables, metavariables, binders) and hands the rest to that
+pair, so a new constructor needs only those two to change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Iterator, Mapping
+from operator import attrgetter
+from typing import Callable, Container, Iterator, Mapping, NoReturn
 
 
 # ---------------------------------------------------------------- types
@@ -256,44 +258,51 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
+def _foreign(t: Term, *_: object) -> NoReturn:
+    raise TypeError(f"unexpected term {t!r}")
+
+
+# Each walk's entry for a constructor, keyed on its exact class.
+_CHILDREN: dict[type, Callable[[Term], tuple[Term, ...]]] = {
+    App: attrgetter("fn", "arg"),
+    Not: lambda t: (t.arg,),
+    **dict.fromkeys((Var, Const, Meta, Top), lambda t: ()),
+    **dict.fromkeys(BINDERS, lambda t: (t.body,)),
+    **dict.fromkeys((Eq, And, Or, Imp, Iff), attrgetter("lhs", "rhs")),
+}
+
+
 def children(t: Term) -> tuple[Term, ...]:
     """The immediate subterms of ``t``, left to right."""
-    match t:
-        case App(f, a):
-            return (f, a)
-        case Var() | Const() | Meta() | Top():
-            return ()
-        case Lam(_, _, b) | All(_, _, b) | Ex(_, _, b):
-            return (b,)
-        case Eq(l, r, _) | And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            return (l, r)
-        case Not(a):
-            return (a,)
-    raise TypeError(f"unexpected term {t!r}")
+    return _CHILDREN.get(type(t), _foreign)(t)
+
+
+def _map_app(t: App, f: Callable[[Term], Term]) -> Term:
+    g, a = f(t.fn), f(t.arg)
+    return t if g is t.fn and a is t.arg else App(g, a)
+
+
+def _map_pair(t: Term, f: Callable[[Term], Term]) -> Term:
+    l, r = f(t.lhs), f(t.rhs)
+    if l is t.lhs and r is t.rhs:
+        return t
+    return Eq(l, r, t.at_type) if type(t) is Eq else type(t)(l, r)
+
+
+_MAP_CHILDREN: dict[type, Callable[[Term, Callable[[Term], Term]], Term]] = {
+    App: _map_app,
+    Not: lambda t, f: t if (a := f(t.arg)) is t.arg else Not(a),
+    **dict.fromkeys((Var, Const, Meta, Top), lambda t, f: t),
+    **dict.fromkeys(BINDERS, lambda t, f: t if (b := f(t.body)) is t.body
+                    else type(t)(t.var, t.var_type, b)),
+    **dict.fromkeys((Eq, And, Or, Imp, Iff), _map_pair),
+}
 
 
 def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
     """``t`` rebuilt with ``f`` applied to each immediate subterm; ``t``
     itself when every subterm comes back unchanged."""
-    match t:
-        case App(g, a):
-            g2, a2 = f(g), f(a)
-            return t if g2 is g and a2 is a else App(g2, a2)
-        case Var() | Const() | Meta() | Top():
-            return t
-        case Lam(v, ty, b) | All(v, ty, b) | Ex(v, ty, b):
-            b2 = f(b)
-            return t if b2 is b else type(t)(v, ty, b2)
-        case Eq(l, r, ty):
-            l2, r2 = f(l), f(r)
-            return t if l2 is l and r2 is r else Eq(l2, r2, ty)
-        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-            l2, r2 = f(l), f(r)
-            return t if l2 is l and r2 is r else type(t)(l2, r2)
-        case Not(a):
-            a2 = f(a)
-            return t if a2 is a else Not(a2)
-    raise TypeError(f"unexpected term {t!r}")
+    return _MAP_CHILDREN.get(type(t), _foreign)(t, f)
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -308,7 +317,18 @@ def subterms(t: Term) -> Iterator[Term]:
 def constants(t: Term) -> list[Const]:
     """Every constant occurrence, preorder; a constant may repeat (hashing
     each one's type costs more than meeting it twice)."""
-    return [s for s in subterms(t) if isinstance(s, Const)]
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is Const:
+            out.append(t)
+        stack += reversed(children(t))
+    return out
+
+
+def has_metas(t: Term) -> bool:
+    """Whether a metavariable occurs in ``t``; stops at the first."""
+    return any(isinstance(s, Meta) for s in subterms(t))
 
 
 def metas(t: Term) -> set[Meta]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, NamedTuple
 
 from . import hol
@@ -48,6 +49,7 @@ class SigEntry(NamedTuple):
     kind: str
     arity: int
 
+    @cache  # one shared type per (kind, arity), cheap to compare
     def hol_type(self) -> hol.Type:
         if self.kind == OBJ:
             return hol.IND
@@ -449,7 +451,8 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
     Returns one diagnostic per violation: unknown or misused names,
     arity errors, duplicate declarations and binders.  The list is empty
     exactly when every node invariant holds.  Shadowing of prefix
-    variables by quantifier or Fraenkel binders is allowed.
+    variables by quantifier or Fraenkel binders is allowed, and a bound
+    name shadows a signature constant (not a type), as in the parser.
     """
     out: list[Diagnostic] = []
 
@@ -470,6 +473,9 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
             what = f"{b.noun} " if b.subject else ""
             bad("arity-mismatch", f"{what}{name!r} takes "
                 f"{got[1] - b.subject} argument(s), got {len(args)}", where)
+        elif name in scope and not (b.scoped or b.subject):
+            bad("shadowed-name", f"{b.noun} {name!r} is shadowed by a "
+                "bound name", where)
         if args:
             for i, a in enumerate(args):
                 check_term(a, scope, (where, ".args", i))

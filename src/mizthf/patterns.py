@@ -87,7 +87,7 @@ class Substitution:
         for m, value in mapping.items():
             if hol.free_vars(value):
                 raise ValueError(f"assignment for ?{m.name} is not closed")
-            if hol.metas(value):
+            if hol.has_metas(value):
                 raise ValueError(f"assignment for ?{m.name} contains "
                                  "metavariables")
             found = hol.type_of(value, hol.ambient_context(value))
@@ -159,7 +159,7 @@ def pattern_match(pairs: Iterable[DisagreementPair]) -> Substitution:
 
 
 def _ground(t: hol.Term) -> hol.Term:
-    if hol.metas(t):
+    if hol.has_metas(t):
         raise ValueError("right sides must be ground")
     return hol.beta_normalize(t)
 
@@ -305,7 +305,7 @@ def recover_scheme_instantiation(scheme: hol.Term, conjecture: hol.Term,
     universals opened.  When the full matrix does not match, top-level
     hypotheses are peeled off one implication at a time and returned as
     side conditions."""
-    if hol.metas(conjecture):
+    if hol.has_metas(conjecture):
         raise ValueError("conjecture must be ground")
     _, matrix = strip_outer_quantifiers(scheme, k)
     # checked and normalized once, for every peel attempt

@@ -120,6 +120,17 @@ def test_deep_input_is_one_line_not_a_traceback(tmp_path, sig, capsys,
     assert "Traceback" not in err
 
 
+def test_check_goes_on_past_a_too_deep_file(tmp_path, sig, capsys):
+    deep = tmp_path / "deep.mst"
+    deep.write_text("statement : " + "not " * 2000 + "c1 = c1\n")
+    bad = tmp_path / "bad.mst"
+    bad.write_text("statement : c1 = nowhere\n")
+    assert main(["check", str(deep), str(bad), "--sig", sig]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{deep}: input nests too deeply to process",
+        f"{bad}:1:18: unknown name 'nowhere'"]
+
+
 def test_check_passes_what_translate_passes(tmp_path, sig, capsys):
     src = tmp_path / "wide.mst"
     binders = ", ".join(f"u{i} is set" for i in range(8))

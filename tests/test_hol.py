@@ -289,6 +289,21 @@ class _Foreign(hol.Term):
     __slots__ = ()
 
 
+@pytest.mark.parametrize("t", ONE_OF_EACH, ids=lambda t: type(t).__name__)
+def test_a_constructor_subclass_is_foreign(t):
+    """The walks dispatch on a term's exact class, so a subclass of a
+    constructor is a foreign term to them."""
+    sub = type(f"Sub{type(t).__name__}", (type(t),), {})
+    u = sub(*[getattr(t, fl.name) for fl in dataclasses.fields(t)])
+    assert isinstance(u, type(t))
+    with pytest.raises(TypeError, match="unexpected term"):
+        hol.children(u)
+    with pytest.raises(TypeError, match="unexpected term"):
+        hol.map_children(u, lambda s: s)
+    with pytest.raises(TypeError, match="unexpected term"):
+        hol.constants(And(TOP, u))
+
+
 @pytest.mark.parametrize("walk", [
     beta_normalize,
     lambda t: subst_var(t, "x", c),

@@ -6,16 +6,18 @@ import random
 
 import pytest
 
-from mizthf import Signature, well_formed
+from mizthf import (
+    Signature, SourceError, parse_statement, print_statement, well_formed,
+)
 from mizthf.hol import IND, PROP, fn
 from mizthf.mizar import (
-    MAX_SIG_ARITY, Attr, DuplicateName, ExBeing, ForBeing, Fraenkel,
+    ATTR, FUNC, MAX_SIG_ARITY, MODE, OBJ, PRED, Attr, DuplicateName, ExBeing, ForBeing, Fraenkel,
     FunConstApp, FunDecl, FunVarApp, KindMismatch, MAnd, MEq, MIn, MNot,
     MStatement, Mode, NonAttr, ObjConst, ObjDecl, ObjVar, PredConstApp,
-    PredDecl, PredVarApp, SET, The, UnknownName,
+    PredDecl, PredVarApp, SET, SigEntry, The, UnknownName,
 )
 
-from generators import random_statement, rich_signature
+from generators import RICH_NAMES, random_statement, rich_signature
 
 
 def test_signature_declares_and_looks_up():
@@ -32,6 +34,15 @@ def test_signature_declares_and_looks_up():
     assert sig.lookup("a").hol_type() == fn(IND, PROP)
     assert "f" in sig
     assert sig.lookup("nope") is None
+
+
+@pytest.mark.parametrize("kind", [OBJ, FUNC, PRED, MODE, ATTR])
+def test_hol_type_is_one_object_per_kind_and_arity(kind):
+    result = IND if kind in (OBJ, FUNC) else PROP
+    for arity in [0] if kind == OBJ else range(5):
+        shared = SigEntry(kind, arity).hol_type()
+        assert SigEntry(kind, arity).hol_type() is shared
+        assert shared == fn(*([IND] * arity), result)
 
 
 def test_membership_is_not_a_signature_entry():
@@ -358,3 +369,59 @@ _DIAGNOSTIC_CASES = [
 def test_well_formed_diagnostic_details(prefix, body, expected):
     diags = well_formed(MStatement(prefix, body), rich_signature())
     assert [(d.code, d.message, d.where) for d in diags] == expected
+
+
+def _shadow_diagnostics(s):
+    return [(d.code, d.message, d.where)
+            for d in well_formed(s, rich_signature())]
+
+
+def test_well_formed_refuses_a_constant_under_a_bound_name():
+    # prints as `for c1 being set holds c1 = c2`, which reads ObjVar("c1")
+    under_binder = MStatement((), ForBeing(
+        "c1", SET, MEq(ObjConst("c1"), ObjConst("c2"))))
+    assert _shadow_diagnostics(under_binder) == [
+        ("shadowed-name", "constant 'c1' is shadowed by a bound name",
+         "body.body.lhs")]
+    assert parse_statement(print_statement(under_binder),
+                           rich_signature()) != under_binder
+    # prints as `p1(p1)` under `p1() -> set`, which the parser refuses
+    under_prefix = MStatement((ObjDecl("p1", SET),),
+                              PredConstApp("p1", (ObjVar("p1"),)))
+    assert _shadow_diagnostics(under_prefix) == [
+        ("shadowed-name", "predicate 'p1' is shadowed by a bound name",
+         "body")]
+    with pytest.raises(KindMismatch):
+        parse_statement(print_statement(under_prefix), rich_signature())
+    under_fraenkel = MStatement((), MIn(_c1, Fraenkel(
+        (("f1", SET),), FunConstApp("f1", (_c1,)), _p0)))
+    assert _shadow_diagnostics(under_fraenkel) == [
+        ("shadowed-name", "function 'f1' is shadowed by a bound name",
+         "body.rhs.body")]
+    # a type's name still comes from the signature under a bound name
+    assert _shadow_diagnostics(MStatement(
+        (ObjDecl("v1_empty", SET),), _for_x(Attr("v1_empty", SET)))) == []
+
+
+def test_signature_names_bound_over_generated_statements():
+    """Mutants that bind a signature name over a generated statement: a
+    well-formed one parses back from its print, an ill-formed one never
+    does, as ``test_parser_and_well_formed_agree`` states for the rest."""
+    sig = rich_signature()
+    rng = random.Random(2026)
+    outcomes = {"shadowed": 0, "parsed back": 0}
+    for _ in range(1500):
+        s = random_statement(rng)
+        name = rng.choice(RICH_NAMES)
+        mutant = (MStatement((ObjDecl(name, SET),) + s.prefix, s.body)
+                  if rng.random() < 0.5
+                  else MStatement(s.prefix, ForBeing(name, SET, s.body)))
+        codes = [d.code for d in well_formed(mutant, sig)]
+        assert set(codes) <= {"shadowed-name"}, codes
+        try:
+            back = parse_statement(print_statement(mutant), sig)
+        except SourceError:
+            back = None
+        assert (back == mutant) == (codes == []), print_statement(mutant)
+        outcomes["shadowed" if codes else "parsed back"] += 1
+    assert min(outcomes.values()) > 300, outcomes
