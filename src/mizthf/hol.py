@@ -328,7 +328,10 @@ def constants(t: Term) -> list[Const]:
 
 def has_metas(t: Term) -> bool:
     """Whether a metavariable occurs in ``t``; stops at the first."""
-    return any(isinstance(s, Meta) for s in subterms(t))
+    stack = [t]
+    while stack and type(t := stack.pop()) is not Meta:
+        stack += children(t)
+    return type(t) is Meta
 
 
 def metas(t: Term) -> set[Meta]:

@@ -51,12 +51,9 @@ class SigEntry(NamedTuple):
 
     @cache  # one shared type per (kind, arity), cheap to compare
     def hol_type(self) -> hol.Type:
-        if self.kind == OBJ:
-            return hol.IND
-        if self.kind == FUNC:
-            return hol.fn(*([hol.IND] * self.arity), hol.IND)
-        # pred, mode and attr are all predicates over individuals
-        return hol.fn(*([hol.IND] * self.arity), hol.PROP)
+        # an object has arity 0; pred, mode and attr are all predicates
+        result = hol.IND if self.kind in (OBJ, FUNC) else hol.PROP
+        return hol.fn(*([hol.IND] * self.arity), result)
 
 
 class Signature:

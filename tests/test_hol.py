@@ -323,3 +323,20 @@ def test_map_children_returns_the_term_when_nothing_changes():
             s for k in hol.children(t) for s in hol.subterms(k)]
         for s in hol.subterms(t):
             assert hol.map_children(s, lambda k: k) is s
+
+
+def test_has_metas_agrees_with_metas():
+    def plant(s):
+        return Meta("M", s.type) if type(s) is Const else hol.map_children(
+            s, plant)
+
+    assert hol.has_metas(Meta("M", IND))
+    assert hol.has_metas(And(TOP, Not(Meta("M", PROP))))
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(200):
+        t = random_closed_prop(rng)
+        for u in (t, plant(t)):
+            assert hol.has_metas(u) == bool(hol.metas(u))
+            seen.add(hol.has_metas(u))
+    assert seen == {False, True}
