@@ -563,15 +563,18 @@ def ambient_context(*terms: Term) -> dict[str, Type]:
 
 # ------------------------------------------------------------- printing
 
-# Precedence, loosest to tightest: iff < implies < or < and < not < eq.
-# Application binds tightest; binders take maximal scope.
-
 _MEMBER = "r2_hidden"
 
-_LEVEL_IFF = 1
-_LEVEL_IMP = 2
-_LEVEL_OR = 3
-_LEVEL_AND = 4
+# Each binary connective's sign and precedence level, loosest first; a
+# level binds tighter than every lower one, and all associate to the
+# right.  ``mizar.CONNECTIVES`` reads its connectives' levels here.
+OPERATORS: dict[type, tuple[str, int]] = {
+    Iff: ("↔", 1), Imp: ("→", 2), Or: ("∨", 3), And: ("∧", 4),
+}
+BINDER_SIGNS: dict[type, str] = {Lam: "λ", All: "∀", Ex: "∃"}
+
+# Above the connectives: not < eq (and ∈) < application < atoms.
+# Binders take maximal scope.
 _LEVEL_NOT = 5
 _LEVEL_EQ = 6
 _LEVEL_APP = 7
@@ -581,9 +584,6 @@ _LEVEL_ATOM = 8
 def show_term(t: Term) -> str:
     """Debug rendering; not a stable format."""
 
-    def wrap(s: str, have: int, need: int) -> str:
-        return f"({s})" if have < need else s
-
     def go(t: Term, need: int) -> str:
         match t:
             case Var(n, _) | Const(n, _):
@@ -592,38 +592,25 @@ def show_term(t: Term) -> str:
                 return f"?{n}"
             case Top():
                 return "⊤"
-            case App(App(Const(name, _), l), r) if name == _MEMBER:
-                s = f"{go(l, _LEVEL_APP)} ∈ {go(r, _LEVEL_APP)}"
-                return wrap(s, _LEVEL_EQ, need)
-            case App(f, a):
-                s = f"{go(f, _LEVEL_APP)} {go(a, _LEVEL_ATOM)}"
-                return wrap(s, _LEVEL_APP, need)
-            case Lam(v, ty, b):
-                s = f"λ{v}:{ty}. {go(b, 0)}"
-                return wrap(s, 0, need)
-            case All(v, ty, b):
-                s = f"∀{v}:{ty}. {go(b, 0)}"
-                return wrap(s, 0, need)
-            case Ex(v, ty, b):
-                s = f"∃{v}:{ty}. {go(b, 0)}"
-                return wrap(s, 0, need)
-            case Eq(l, r, _):
-                s = f"{go(l, _LEVEL_APP)} = {go(r, _LEVEL_APP)}"
-                return wrap(s, _LEVEL_EQ, need)
             case Not(a):
                 return f"¬{go(a, _LEVEL_NOT)}"
-            case And(l, r):
-                s = f"{go(l, _LEVEL_AND + 1)} ∧ {go(r, _LEVEL_AND)}"
-                return wrap(s, _LEVEL_AND, need)
-            case Or(l, r):
-                s = f"{go(l, _LEVEL_OR + 1)} ∨ {go(r, _LEVEL_OR)}"
-                return wrap(s, _LEVEL_OR, need)
-            case Imp(l, r):
-                s = f"{go(l, _LEVEL_IMP + 1)} → {go(r, _LEVEL_IMP)}"
-                return wrap(s, _LEVEL_IMP, need)
-            case Iff(l, r):
-                s = f"{go(l, _LEVEL_IFF + 1)} ↔ {go(r, _LEVEL_IFF)}"
-                return wrap(s, _LEVEL_IFF, need)
-        raise TypeError(f"unexpected term {t!r}")
+            case App(App(Const(name, _), l), r) if name == _MEMBER:
+                s = f"{go(l, _LEVEL_APP)} ∈ {go(r, _LEVEL_APP)}"
+                have = _LEVEL_EQ
+            case App(f, a):
+                s = f"{go(f, _LEVEL_APP)} {go(a, _LEVEL_ATOM)}"
+                have = _LEVEL_APP
+            case Eq(l, r, _):
+                s = f"{go(l, _LEVEL_APP)} = {go(r, _LEVEL_APP)}"
+                have = _LEVEL_EQ
+            case _ if type(t) in OPERATORS:
+                sign, have = OPERATORS[type(t)]
+                s = f"{go(t.lhs, have + 1)} {sign} {go(t.rhs, have)}"
+            case _ if type(t) in BINDER_SIGNS:
+                sign, have = BINDER_SIGNS[type(t)], 0
+                s = f"{sign}{t.var}:{t.var_type}. {go(t.body, 0)}"
+            case _:
+                raise TypeError(f"unexpected term {t!r}")
+        return f"({s})" if have < need else s
 
     return go(t, 0)

@@ -14,8 +14,9 @@ and ``MIn`` its only node, and a signature refuses to declare ``in``.
 The parser, ``well_formed``, the translation and the printer read the
 node rules from tables here: ``BINDINGS`` (where a named node finds its
 name, which kinds it takes, how diagnostics name it; ``NODES`` reads it
-backwards), and ``CONNECTIVES`` and ``QUANTIFIERS`` (words, precedence
-and HOL constructor).
+backwards), and ``CONNECTIVES`` and ``QUANTIFIERS`` (words and HOL
+constructor; a connective ranks as its constructor does in
+``hol.OPERATORS``).
 """
 
 from __future__ import annotations
@@ -411,16 +412,20 @@ NODES: dict[type, dict[bool, dict[str, type]]] = {
 
 class Connective(NamedTuple):
     word: str
-    level: int  # binds tighter than every lower level
-    target: Callable[[hol.Term, hol.Term], hol.Term]
+    target: type  # a key of ``hol.OPERATORS``
+
+    @property
+    def level(self) -> int:
+        """The target's level: binds tighter than every lower level."""
+        return hol.OPERATORS[self.target][1]
 
 
 # Binary connectives, loosest first; all associate to the right.
 CONNECTIVES: dict[type, Connective] = {
-    MIff: Connective("iff", 1, hol.Iff),
-    MImp: Connective("implies", 2, hol.Imp),
-    MOr: Connective("or", 3, hol.Or),
-    MAnd: Connective("&", 4, hol.And),
+    MIff: Connective("iff", hol.Iff),
+    MImp: Connective("implies", hol.Imp),
+    MOr: Connective("or", hol.Or),
+    MAnd: Connective("&", hol.And),
 }
 
 

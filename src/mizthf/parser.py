@@ -129,7 +129,7 @@ def parse_signature(text: str) -> Signature:
                 f"expected '{directive} NAME', got {len(fields) - 1} field(s)",
                 lineno, 1)
         spec = fields[1]
-        col = raw.index(spec, len(directive)) + 1
+        col = raw.index(spec, raw.index(directive) + len(directive)) + 1
         try:
             if directive in ("obj", "attr"):
                 sig.declare(_check_name(spec, lineno, col), directive)

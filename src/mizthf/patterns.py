@@ -19,8 +19,8 @@ variable cannot be abstracted and raises ``OccursEscape``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
 
 from . import hol
 from .hol import All, App, Const, Eq, Imp, Meta, Var
@@ -80,8 +80,9 @@ def subst_metas(t: hol.Term, mapping: Mapping[Meta, hol.Term]) -> hol.Term:
     return go(t)
 
 
-class Substitution:
-    """An idempotent assignment of closed terms to metavariables."""
+class Substitution(Mapping[Meta, hol.Term]):
+    """An idempotent assignment of closed terms to metavariables, read
+    in name order."""
 
     def __init__(self, mapping: Mapping[Meta, hol.Term]):
         for m, value in mapping.items():
@@ -108,20 +109,11 @@ class Substitution:
     def __getitem__(self, m: Meta) -> hol.Term:
         return self._map[m]
 
-    def get(self, m: Meta) -> hol.Term | None:
-        return self._map.get(m)
-
-    def __contains__(self, m: Meta) -> bool:
-        return m in self._map
-
     def __len__(self) -> int:
         return len(self._map)
 
     def __iter__(self) -> Iterator[Meta]:
         return iter(sorted(self._map, key=lambda m: m.name))
-
-    def items(self) -> list[tuple[Meta, hol.Term]]:
-        return sorted(self._map.items(), key=lambda kv: kv[0].name)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Substitution):

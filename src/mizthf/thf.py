@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from . import hol
 from .declarations import (
-    Declaration, SETHOOD, base_declarations, gen_replSep_decl,
+    EPS, MEMBER, SETHOOD, Declaration, base_declarations, gen_replSep_decl,
 )
 from .hol import (
     All, And, App, Const, Eq, Ex, FnType, Iff, Imp, Lam, Meta, Not, Or,
@@ -68,8 +68,7 @@ _REPLSEP_RE = re.compile(r"replSep_([1-9][0-9]*)$")
 def assemble_problem(conjecture: hol.Term,
                      axioms: list[tuple[str, hol.Term]],
                      sig: Signature,
-                     name: str = "problem",
-                     conjecture_name: str = "goal") -> Problem:
+                     name: str = "problem") -> Problem:
     """Build a problem around translated formulas.
 
     Every constant occurring in the formulas must be either part of the
@@ -86,14 +85,14 @@ def assemble_problem(conjecture: hol.Term,
         if (m := _REPLSEP_RE.fullmatch(n)))
     fraenkel = bool(arities) or SETHOOD in occurring
 
-    decls: list[Declaration] = [base["r2_hidden"]]
-    if "eps" in occurring:
-        decls.append(base["eps"])
+    decls: list[Declaration] = [base[MEMBER]]
+    if EPS in occurring:
+        decls.append(base[EPS])
     if fraenkel:
         decls.append(base[SETHOOD])
     decls.extend(map(gen_replSep_decl, arities))
 
-    handled = {d.name for d in decls} | {"eps", SETHOOD}
+    handled = {d.name for d in decls}
     user: list[Declaration] = []
     for cname in sorted(occurring):
         if cname in handled:
@@ -120,7 +119,7 @@ def assemble_problem(conjecture: hol.Term,
             raise hol.IllTyped(decl.name, decl.type, occurring[decl.name])
 
     return Problem(name, tuple(decls + user), tuple(axioms),
-                   (conjecture_name, conjecture))
+                   ("goal", conjecture))
 
 
 # --------------------------------------------------------------- emission
@@ -141,14 +140,6 @@ class MangleTable:
         self._by_source[source] = out
         return out
 
-    def claim_formula_name(self, source: str) -> str:
-        """Formula names are not bijective per source; every claim gets
-        a unique word."""
-        return unique_name(_mangle(source, "c"), self._used)
-
-    def items(self) -> list[tuple[str, str]]:
-        return sorted(self._by_source.items())
-
 
 def unique_name(base: str, taken: set[str]) -> str:
     """``base``, else the first of ``base_2``, ``base_3``, ... not in
@@ -164,10 +155,11 @@ def unique_name(base: str, taken: set[str]) -> str:
 @lru_cache(maxsize=CACHE_SIZE)
 def _mangle(source: str, lead: str) -> str:
     """``source`` as a THF0 word with ``lead``'s case on its initial:
-    other characters than letters, digits and ``_`` become ``_``, and
-    ``lead`` (``c`` for constants, ``X`` for variables) goes in front
-    of an initial that is not a letter."""
-    cleaned = "".join(c if c.isalnum() or c == "_" else "_" for c in source)
+    other characters than ASCII letters, digits and ``_`` become ``_``,
+    and ``lead`` (``c`` for constants, ``X`` for variables) goes in
+    front of an initial that is not a letter."""
+    cleaned = "".join(c if c.isascii() and c.isalnum() or c == "_" else "_"
+                      for c in source)
     if not cleaned or not cleaned[0].isalpha():
         cleaned = lead + cleaned
     case = str.upper if lead.isupper() else str.lower
@@ -274,31 +266,35 @@ def emit_thf(problem: Problem) -> str:
     """The problem as THF0 text: type lines for every declaration, then
     defining equations, declaration axioms, user axioms, conjecture."""
     consts = MangleTable()
-    names = MangleTable()
+    names: set[str] = set()  # formula names need not map back to sources
+
+    def formula_name(source: str) -> str:
+        return unique_name(_mangle(source, "c"), names)
+
     for decl in problem.declarations:
         consts.get(decl.name)
 
     lines: list[str] = []
     for decl in problem.declarations:
-        fname = names.claim_formula_name(f"{decl.name}_tp")
+        fname = formula_name(f"{decl.name}_tp")
         lines.append(
             f"thf({fname}, type, {consts.get(decl.name)}: "
             f"{render_type(decl.type)}).")
     for decl in problem.declarations:
         if decl.definition is not None:
-            fname = names.claim_formula_name(f"{decl.name}_def")
+            fname = formula_name(f"{decl.name}_def")
             eq = Eq(Const(decl.name, decl.type), decl.definition, decl.type)
             lines.append(_support_line(decl, eq, fname, "definition", consts))
     for decl in problem.declarations:
         for ax_name, ax in decl.axioms:
-            fname = names.claim_formula_name(ax_name)
+            fname = formula_name(ax_name)
             lines.append(_support_line(ax, ax, fname, "axiom", consts))
     for ax_name, ax in problem.axioms:
-        fname = names.claim_formula_name(ax_name)
+        fname = formula_name(ax_name)
         lines.append(
             f"thf({fname}, axiom, {render_formula(ax, consts)}).")
     cname, conj = problem.conjecture
-    fname = names.claim_formula_name(cname)
+    fname = formula_name(cname)
     lines.append(
         f"thf({fname}, conjecture, {render_formula(conj, consts)}).")
     return "\n".join(lines) + "\n"

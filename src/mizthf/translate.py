@@ -30,7 +30,7 @@ from .declarations import (
 )
 from .hol import All, And, Const, Eq, Imp, IND, Lam, PROP, TOP, Var
 from .mizar import (
-    CONNECTIVES, QUANTIFIERS,
+    BINDINGS, CONNECTIVES, QUANTIFIERS,
     Attr, Fraenkel, FunConstApp, FunDecl, FunVarApp, MConnective, MEq, MIn,
     MNot, MProp, MQuantifier, MStatement, MTerm, MType, Mode, NonAttr,
     ObjConst, ObjDecl, ObjVar, PredConstApp, PredDecl, PredVarApp, SetType,
@@ -87,16 +87,26 @@ def _relativize(binder, var: str, t: MType, env: TransEnv,
     return binder(var, IND, body)
 
 
+def _named(node: MTerm | MProp | MType, env: TransEnv,
+           *subject: hol.Term) -> hol.Term:
+    """A named node: its name from the scope or the signature, as its
+    ``BINDINGS`` row says, applied to ``subject`` (a type's) and then to
+    the node's arguments."""
+    name = node.name
+    head = env.var(name) if BINDINGS[type(node)].scoped else env.const(name)
+    return hol.apps(head, *subject, *(translate_term(a, env)
+                                      for a in getattr(node, "args", ())))
+
+
 def translate_guard(t: MType, env: TransEnv, subject: hol.Term) -> hol.Term:
     """The proposition that ``subject`` (of type ``i``) has type ``t``."""
     match t:
         case SetType():
             return TOP
-        case Mode(name, args):
-            return hol.apps(env.const(name), subject,
-                            *(translate_term(a, env) for a in args))
-        case Attr(name, base) | NonAttr(name, base):
-            holds = hol.App(env.const(name), subject)
+        case Mode():
+            return _named(t, env, subject)
+        case Attr(_, base) | NonAttr(_, base):
+            holds = _named(t, env, subject)
             return And(holds if type(t) is Attr else hol.Not(holds),
                        translate_guard(base, env, subject))
     raise TypeError(f"unexpected type {t!r}")
@@ -114,16 +124,8 @@ def translate_type(t: MType, env: TransEnv) -> hol.Term:
 
 def translate_term(t: MTerm, env: TransEnv) -> hol.Term:
     match t:
-        case ObjVar(name):
-            return env.var(name)
-        case ObjConst(name):
-            return env.const(name)
-        case FunVarApp(name, args):
-            return hol.apps(env.var(name),
-                            *(translate_term(a, env) for a in args))
-        case FunConstApp(name, args):
-            return hol.apps(env.const(name),
-                            *(translate_term(a, env) for a in args))
+        case ObjVar() | ObjConst() | FunVarApp() | FunConstApp():
+            return _named(t, env)
         case The(mtype):
             return choice(translate_type(mtype, env))
         case Fraenkel(binders, body, guard):
@@ -156,12 +158,8 @@ def translate_fraenkel(binders, body, guard, env: TransEnv) -> hol.Term:
 
 def translate_prop(p: MProp, env: TransEnv) -> hol.Term:
     match p:
-        case PredVarApp(name, args):
-            return hol.apps(env.var(name),
-                            *(translate_term(a, env) for a in args))
-        case PredConstApp(name, args):
-            return hol.apps(env.const(name),
-                            *(translate_term(a, env) for a in args))
+        case PredVarApp() | PredConstApp():
+            return _named(p, env)
         case MEq(l, r):
             return Eq(translate_term(l, env), translate_term(r, env), IND)
         case MIn(l, r):

@@ -185,6 +185,63 @@ def test_show_term_sugar():
     assert hol.show_term(Imp(TOP, Not(TOP))) == "⊤ → ¬⊤"
 
 
+
+# Pins for show_term: propositional atoms, a binary function, membership.
+pa, pb, pd = Var("a", PROP), Var("b", PROP), Var("d", PROP)
+g2 = Const("g", fn(IND, IND, IND))
+px = App(p, x)
+x_in_y = apps(Const("r2_hidden", fn(IND, IND, PROP)), x, y)
+
+
+@pytest.mark.parametrize("t,shown", [
+    # one term per constructor
+    (x, "x"), (c, "c"), (Meta("M", IND), "?M"), (TOP, "⊤"), (px, "p x"),
+    (Lam("x", IND, px), "λx:ι. p x"), (All("x", IND, px), "∀x:ι. p x"),
+    (Ex("x", IND, px), "∃x:ι. p x"), (Eq(x, y, IND), "x = y"),
+    (Not(pa), "¬a"), (And(pa, pb), "a ∧ b"), (Or(pa, pb), "a ∨ b"),
+    (Imp(pa, pb), "a → b"), (Iff(pa, pb), "a ↔ b"),
+    # membership sugar
+    (x_in_y, "x ∈ y"), (Not(x_in_y), "¬x ∈ y"), (App(p, x_in_y), "p (x ∈ y)"),
+    (apps(Const("r2_hidden", fn(IND, IND, PROP)), App(f, x), y), "f x ∈ y"),
+    # adjacent levels, each in both operand positions
+    (Iff(Iff(pa, pb), pd), "(a ↔ b) ↔ d"), (Iff(pa, Iff(pb, pd)), "a ↔ b ↔ d"),
+    (Iff(Imp(pa, pb), pd), "a → b ↔ d"), (Iff(pa, Imp(pb, pd)), "a ↔ b → d"),
+    (Imp(Iff(pa, pb), pd), "(a ↔ b) → d"),
+    (Imp(pa, Iff(pb, pd)), "a → (b ↔ d)"),
+    (Imp(Or(pa, pb), pd), "a ∨ b → d"), (Imp(pa, Or(pb, pd)), "a → b ∨ d"),
+    (Or(Imp(pa, pb), pd), "(a → b) ∨ d"), (Or(pa, Imp(pb, pd)), "a ∨ (b → d)"),
+    (Or(And(pa, pb), pd), "a ∧ b ∨ d"), (Or(pa, And(pb, pd)), "a ∨ b ∧ d"),
+    (And(Or(pa, pb), pd), "(a ∨ b) ∧ d"), (And(pa, Or(pb, pd)), "a ∧ (b ∨ d)"),
+    (And(Not(pa), pb), "¬a ∧ b"), (And(pa, Not(pb)), "a ∧ ¬b"),
+    (Not(Not(pa)), "¬¬a"), (Not(Eq(x, y, IND)), "¬x = y"),
+    (Eq(App(f, x), App(f, y), IND), "f x = f y"),
+    (App(p, Eq(x, y, IND)), "p (x = y)"),
+    (apps(g2, x, y), "g x y"), (App(f, App(f, x)), "f (f x)"),
+    (apps(g2, x, App(f, y)), "g x (f y)"),
+    (App(Lam("x", IND, px), y), "(λx:ι. p x) y"),
+    # not over a connective
+    (Not(And(pa, pb)), "¬(a ∧ b)"), (Not(Iff(pa, pb)), "¬(a ↔ b)"),
+    # binders under a connective, under not, beside =, and inside a body
+    (And(All("x", IND, px), pa), "(∀x:ι. p x) ∧ a"),
+    (And(pa, All("x", IND, px)), "a ∧ (∀x:ι. p x)"),
+    (Or(Ex("x", IND, px), Lam("x", IND, pa)), "(∃x:ι. p x) ∨ (λx:ι. a)"),
+    (Not(All("x", IND, px)), "¬(∀x:ι. p x)"),
+    (Eq(Lam("x", IND, x), Lam("y", IND, y), fn(IND, IND)),
+     "(λx:ι. x) = (λy:ι. y)"),
+    (All("x", IND, Imp(px, Ex("y", IND, And(App(p, y), pa)))),
+     "∀x:ι. p x → (∃y:ι. p y ∧ a)"),
+])
+def test_show_term_pins(t, shown):
+    assert hol.show_term(t) == shown
+
+
+def test_show_term_rejects_a_term_it_cannot_print():
+    for t in (_Foreign(), type("SubAnd", (And,), {})(pa, pb),
+              type("SubLam", (Lam,), {})("x", IND, px)):
+        with pytest.raises(TypeError, match="unexpected term"):
+            hol.show_term(And(pa, t))
+
+
 # ------------------------------------------------------------ properties
 
 

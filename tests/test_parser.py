@@ -79,6 +79,13 @@ def test_signature_error_positions():
     assert (info.value.line, info.value.col) == (2, 6)
 
 
+def test_signature_name_position_after_an_indented_directive():
+    # the name is searched for after the directive, not at its length
+    with pytest.raises(DuplicateName) as info:
+        parse_signature("obj t\n  attr t\n")
+    assert (info.value.line, info.value.col) == (2, 8)
+
+
 @pytest.mark.parametrize("line", ["func f/\u0663", "pred p/\u00b2"])
 def test_signature_arity_is_ascii_digits(line):
     # "\u0663" is ARABIC-INDIC DIGIT THREE, "\u00b2" SUPERSCRIPT TWO

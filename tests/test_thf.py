@@ -191,6 +191,22 @@ def test_mangle_table_is_bijective_and_deterministic():
     assert len(set(values)) == len(values)
 
 
+def test_emitted_words_are_ascii():
+    """Non-ASCII letters and digits are word characters in the source
+    but not in TPTP, so emission maps each to ``_``."""
+    sig = Signature()
+    for name in ("café", "c1", "x²", "x١"):
+        sig.declare(name, "obj")
+    sig.declare("ñp", "pred", 1)
+    text = emit("statement : for ñ being set holds ñ = c1 & ñp(café) "
+                "& x² = x١", sig)
+    assert text.isascii()
+    assert check_thf(text) == []
+    assert "thf(caf__tp, type, caf_: $i)." in text
+    assert "thf(c_p_tp, type, c_p: $i > $o)." in text
+    assert "! [X_: $i] : ((X_ = c1) & ((c_p @ caf_) & (x_ = x__2)))" in text
+
+
 def test_emission_renames_shadowed_binders():
     conj = All("x", i, All("x", i, Eq(Var("x", i), Var("x", i), i)))
     sig = Signature()
