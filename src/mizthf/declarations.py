@@ -29,7 +29,7 @@ from .hol import All, App, Const, Eq, Ex, Imp, IND, Lam, PROP, Var
 from .mizar import Signature
 
 EPS = "eps"
-MEMBER = "r2_hidden"
+MEMBER = hol.MEMBER
 SETHOOD = "sethood"
 
 EPS_TYPE = hol.fn(hol.fn(IND, PROP), IND)

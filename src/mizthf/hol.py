@@ -563,7 +563,8 @@ def ambient_context(*terms: Term) -> dict[str, Type]:
 
 # ------------------------------------------------------------- printing
 
-_MEMBER = "r2_hidden"
+# membership's constant, printed as "∈"; ``declarations.MEMBER`` reads it
+MEMBER = "r2_hidden"
 
 # Each binary connective's sign and precedence level, loosest first; a
 # level binds tighter than every lower one, and all associate to the
@@ -594,7 +595,7 @@ def show_term(t: Term) -> str:
                 return "⊤"
             case Not(a):
                 return f"¬{go(a, _LEVEL_NOT)}"
-            case App(App(Const(name, _), l), r) if name == _MEMBER:
+            case App(App(Const(name, _), l), r) if name == MEMBER:
                 s = f"{go(l, _LEVEL_APP)} ∈ {go(r, _LEVEL_APP)}"
                 have = _LEVEL_EQ
             case App(f, a):

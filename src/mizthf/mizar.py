@@ -72,6 +72,8 @@ class Signature:
         if _RESERVED.fullmatch(name):
             raise ValueError(f"{name!r} is reserved for the translation "
                              "target")
+        if kind not in (OBJ, FUNC, PRED, MODE, ATTR):
+            raise ValueError(f"unknown signature kind {kind!r}")
         if kind == OBJ:
             arity = 0
         elif kind == ATTR:
@@ -84,8 +86,6 @@ class Signature:
             raise ValueError("modes have arity at least one (the subject)")
         if kind == PRED and arity < 0:
             raise ValueError("negative arity")
-        if kind not in (OBJ, FUNC, PRED, MODE, ATTR):
-            raise ValueError(f"unknown signature kind {kind!r}")
         if arity > MAX_SIG_ARITY:
             raise ValueError(f"arity is above the limit of {MAX_SIG_ARITY}")
         self._entries[name] = SigEntry(kind, arity)

@@ -109,10 +109,7 @@ def assemble_problem(conjecture: hol.Term,
         entry = sig.lookup(cname)
         if entry is None:
             raise UndeclaredConstant(cname)
-        declared = entry.hol_type()
-        if declared != occurring[cname]:
-            raise hol.IllTyped(cname, declared, occurring[cname])
-        user.append(Declaration(cname, declared))
+        user.append(Declaration(cname, entry.hol_type()))
 
     for decl in decls + user:
         if decl.name in occurring and occurring[decl.name] != decl.type:
@@ -270,9 +267,6 @@ def emit_thf(problem: Problem) -> str:
 
     def formula_name(source: str) -> str:
         return unique_name(_mangle(source, "c"), names)
-
-    for decl in problem.declarations:
-        consts.get(decl.name)
 
     lines: list[str] = []
     for decl in problem.declarations:

@@ -17,6 +17,12 @@ texts alone; a token's kind follows from its text.  A rejection carries
 a token index; only when a diagnostic is reported does ``_positions``
 run the same pattern again to find its ``line:col``.
 
+A check reads each unit's header once, in one scan that checks the type
+lines and queues the formula units, so a formula may use a constant
+declared after it.  If the scan found nothing, each queued formula is
+checked within the unit the scan delimited, so a fault is reported once
+per unit and the next unit is still checked from its own start.
+
 Every former checks its typing rule where it is parsed and returns its
 type, so a formula gets one pass and no term is built.  An ill-typed
 diagnostic sits at the offending token: the ``@`` whose head is not a
@@ -33,9 +39,9 @@ per conjunct.  The limit is a stated policy, equal to the default
 recursion limit, not a stack bound: the bound variables of one binder
 list cost the parse no Python frame.  Within the limit a check takes at
 most ``_STACK_ROOM`` frames, and ``check_thf`` raises the recursion
-limit by that much while it runs.  Deeper input gets a
-``too-deep`` diagnostic at the token that crosses the limit, so a check
-never raises ``RecursionError``.
+limit by that much while it runs.  Deeper input gets a ``too-deep``
+diagnostic at the token that crosses the limit, so a check never raises
+``RecursionError``.
 
 Problems repeat most of their lines, so the checker keeps a memo per
 process, keyed on the text of a physical line: a token never spans a
@@ -76,13 +82,15 @@ _STACK_ROOM = 6 * MAX_DEPTH + 50
 _STACK_LOCK = threading.Lock()
 MEMO_LINES = 256
 
-# Tried in order after the skip.  ``\w`` also admits digits and
-# numerals such as "²", which cannot start a word.  A "%" the skip leaves
-# starts a comment with no newline after it, so eof is there; ``\Z`` makes
-# the pattern match at the end, so findall never skips text.
+# Tried in order after the skip.  TPTP words are ASCII letters, digits
+# and "_", and a digit cannot start one; any other character, such as "é"
+# or "²", is a token of its own.  A "%" the skip leaves starts a comment
+# with no newline after it, so eof is there; ``\Z`` makes the pattern
+# match at the end, so findall never skips text.
+_WORD = "[A-Za-z0-9_]"
 _SYMBOLS = r"<=>|=>|[()\[\]:,.>@~&|!?^=]"
 _LEXEME = re.compile(
-    rf"\s*(?:%[^\n]*\n\s*)*(\w+|\$\w*|{_SYMBOLS}|(?=%)|.|\Z)")
+    rf"\s*(?:%[^\n]*\n\s*)*({_WORD}+|\${_WORD}*|{_SYMBOLS}|(?=%)|.|\Z)")
 _SYMBOL = re.compile(_SYMBOLS)
 
 
@@ -92,7 +100,7 @@ def _kind(text: str) -> str:
     first = text[0]
     if first == "$":
         return "dollar"
-    if first.isalpha() or first == "_":
+    if first == "_" or first.isascii() and first.isalpha():
         return "word"
     return "sym" if _SYMBOL.fullmatch(text) else "stray"
 
@@ -204,12 +212,10 @@ class _Checker:
     def __init__(self, toks: list[str], known: dict[int, _Line]):
         self.toks = toks
         self.known = known
-        self.eof = len(toks) - 1  # the final ""
         self.pos = 0
         self.found: list[tuple[str, str, int | None]] = []
         self.decls: dict[str, hol.Type] = {}
         self.formula_names: set[str] = set()
-        self.conjectures = 0
 
     def next(self) -> str:
         tok = self.toks[self.pos]
@@ -231,9 +237,9 @@ class _Checker:
         toks, depth, start = self.toks, 0, self.pos
         while True:
             try:
-                end = toks.index(".", start, self.eof)
+                end = toks.index(".", start)
             except ValueError:
-                self.pos = self.eof
+                self.pos = len(toks) - 1  # eof, the final ""
                 return
             part = toks[start:end]
             depth += part.count("(") - part.count(")")
@@ -245,65 +251,54 @@ class _Checker:
     # -------------------------------------------------------- structure
 
     def run(self) -> list[tuple[str, str, int | None]]:
-        # first pass collects declarations so formula order is free
-        self.pass_over(types_only=True)
-        if not self.found:
-            self.pass_over(types_only=False)
-        if not self.found and self.conjectures > 1:
-            self.found.append((
-                "conjectures", f"{self.conjectures} conjectures in one "
-                "problem", None))
-        return self.found
-
-    def pass_over(self, types_only: bool) -> None:
-        self.pos = 0
+        queued: list[tuple[int, _Line | None]] = []
         while self.toks[self.pos]:
             start = self.pos
             memo = self.known.get(start)
-            if memo and memo.verdict and self.reuse(memo, types_only):
+            if memo and memo.verdict and self.declare(memo.verdict):
+                self.pos += len(memo.toks)
+                if memo.verdict[1] != "type":
+                    queued.append((start, memo))
                 continue
             try:
-                self.line(types_only)
+                if self.header() != "type":
+                    queued.append((start, memo))
+                    self.skip_line()
+                    continue
+                cname, ty = self.type_line()
+                self.expect(")")
+                self.expect(".")
             except _Reject as r:
                 self.found.append((r.code, r.message, r.at))
                 self.skip_line()
                 continue
             if memo and self.pos == start + len(memo.toks):
-                self.remember(memo, start, types_only)
+                memo.verdict = (self.toks[start + 2], "type", cname, ty)
+        if not self.found:
+            for start, memo in queued:
+                try:
+                    self.body(start, memo)
+                except _Reject as r:
+                    self.found.append((r.code, r.message, r.at))
+        goals = sum(self.toks[s + 4] == "conjecture" for s, _ in queued)
+        if not self.found and goals > 1:
+            self.found.append(("conjectures", f"{goals} conjectures in one "
+                               "problem", None))
+        return self.found
 
-    def remember(self, memo: _Line, start: int, types_only: bool) -> None:
-        """Record the verdict of the clean unit ``memo`` holds.  A
-        formula's verdict is known only after the second pass."""
-        toks, decls = self.toks, self.decls
-        name, role = toks[start + 2], toks[start + 4]
-        if role == "type" and types_only:
-            cname = toks[start + 6]
-            memo.verdict = (name, role, cname, decls[cname])
-        elif role != "type" and not types_only:
-            # every lower word of a clean formula is a declared constant
-            used = {t: decls[t] for t in toks[start + 6:self.pos - 2]
-                    if t[:1].islower()}
-            memo.verdict = (name, role, tuple(used), tuple(used.values()))
-
-    def reuse(self, memo: _Line, types_only: bool) -> bool:
-        """Take a memoized unit's verdict, if the problem's own rules
-        and declarations allow it, and move past the unit."""
-        name, role, declared, types = memo.verdict
-        if types_only:
-            if name in self.formula_names or (
-                    role == "type" and declared in self.decls):
-                return False
-            self.formula_names.add(name)
-            if role == "type":
-                self.decls[declared] = types
-        elif role != "type":
-            if tuple(map(self.decls.get, declared)) != types:
-                return False
-            self.conjectures += role == "conjecture"
-        self.pos += len(memo.toks)
+    def declare(self, verdict: tuple) -> bool:
+        """Claim a clean unit's name and declaration, if they are free."""
+        name, role, cname, ty = verdict
+        if name in self.formula_names or (
+                role == "type" and cname in self.decls):
+            return False
+        self.formula_names.add(name)
+        if role == "type":
+            self.decls[cname] = ty
         return True
 
-    def line(self, types_only: bool) -> None:
+    def header(self) -> str:
+        """Read ``thf(name, role,``, claim the name and return the role."""
         self.expect("thf")
         self.expect("(")
         name_at = self.pos
@@ -317,30 +312,33 @@ class _Checker:
         if role not in ("type", "axiom", "definition", "conjecture"):
             raise _Reject("role", f"unsupported role {role!r}", role_at)
         self.expect(",")
-        if types_only:
-            if name in self.formula_names:
-                raise _Reject("duplicate", f"formula name {name!r} "
-                              "reused", name_at)
-            self.formula_names.add(name)
-            if role == "type":
-                self.type_line()
-            else:
-                self.skip_line()
-                return
-        else:
-            if role == "type":
-                self.skip_line()
-                return
-            if role == "conjecture":
-                self.conjectures += 1
-            ty = self.formula({}, 0)
-            if ty != PROP:
-                raise _Reject("ill-typed", f"{role} {name!r} has "
-                              f"type {ty}, wanted o", name_at)
+        if name in self.formula_names:
+            raise _Reject("duplicate", f"formula name {name!r} reused",
+                          name_at)
+        self.formula_names.add(name)
+        return role
+
+    def body(self, start: int, memo: _Line | None) -> None:
+        """Check the formula of the unit at ``start`` after its six-token
+        header, or take its verdict if every lookup agrees here."""
+        name, role = self.toks[start + 2], self.toks[start + 4]
+        verdict = memo and memo.verdict
+        if verdict and tuple(map(self.decls.get, verdict[2])) == verdict[3]:
+            return
+        self.pos = start + 6
+        ty = self.formula({}, 0)
+        if ty != PROP:
+            raise _Reject("ill-typed", f"{role} {name!r} has type {ty}, "
+                          "wanted o", start + 2)
         self.expect(")")
         self.expect(".")
+        if memo and self.pos == start + len(memo.toks):
+            # every lower word of a clean formula is a declared constant
+            used = {t: self.decls[t] for t in self.toks[start + 6:self.pos - 2]
+                    if t[:1].islower()}
+            memo.verdict = (name, role, tuple(used), tuple(used.values()))
 
-    def type_line(self) -> None:
+    def type_line(self) -> tuple[str, hol.Type]:
         at = self.pos
         cname = self.next()
         if not cname[:1].islower():
@@ -352,6 +350,7 @@ class _Checker:
             raise _Reject("duplicate", f"constant {cname!r} declared "
                           "twice", at)
         self.decls[cname] = ty
+        return cname, ty
 
     def type(self, depth: int) -> hol.Type:
         parts = [self.type_atom(depth)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from mizthf import Signature, base_declarations
+from mizthf import Signature, base_declarations, hol
 from mizthf.declarations import (
     EPS, EPS_TYPE, InvalidArity, MEMBER, MEMBER_TYPE, SETHOOD,
     SETHOOD_TYPE, choice, class_type, gen_replSep_axioms, gen_replSep_decl,
@@ -41,6 +41,12 @@ def test_helper_builders():
     cls = Lam("v", i, member(Var("v", i), y))
     assert choice(cls) == App(Const(EPS, EPS_TYPE), cls)
     assert sethood_of(cls) == App(Const(SETHOOD, SETHOOD_TYPE), cls)
+
+
+def test_membership_name_is_spelled_once():
+    # show_term's "∈" sugar and the emitted declaration read one name
+    assert MEMBER is hol.MEMBER
+    assert hol.show_term(member(Var("x", i), Var("y", i))) == "x ∈ y"
 
 
 def _decl_map(sig=None):

@@ -68,6 +68,9 @@ def test_signature_rejects_bad_declarations():
         sig.declare("m", "mode", 0)
     with pytest.raises(ValueError):
         sig.declare("w", "widget", 1)
+    # the kind is judged before any arity default or requirement
+    with pytest.raises(ValueError, match="unknown signature kind 'bogus'"):
+        sig.declare("x", "bogus")
     for reserved in ("eps", "r2_hidden", "sethood", "replSep_1",
                      "replSep_99"):
         with pytest.raises(ValueError):

@@ -297,6 +297,23 @@ def test_check_thf_is_order_insensitive():
     assert check_thf(flipped) == []
 
 
+@pytest.mark.parametrize("text,diags", [
+    # the fault ends unit a: the goal is the next unit, not "c"
+    ("thf(c_tp, type, c: $i).\nthf(a, axiom, (~ $o . c)).\n"
+     "thf(goal, conjecture, c).\n",
+     ["2:18: expected a formula, found '$o' [syntax]",
+      "3:5: conjecture 'goal' has type ι, wanted o [ill-typed]"]),
+    # unit b, which unit a's fault runs into, is still checked
+    ("thf(c_tp, type, c: $i).\nthf(a, axiom, ($true).\n"
+     "thf(b, axiom, ~ c).\nthf(goal, conjecture, $true).\n",
+     ["2:22: expected ')', found '.' [syntax]",
+      "3:17: expected o, found ι [ill-typed]"]),
+])
+def test_check_thf_reports_a_formula_fault_once_per_unit(text, diags):
+    for _ in range(3):  # met once, memoized, memoized lines reused
+        assert [str(d) for d in check_thf(text)] == diags
+
+
 def test_check_thf_handles_equality_types():
     text = ("thf(f_tp, type, f: $i > $i).\n"
             "thf(goal, conjecture, f = f).\n")
@@ -319,7 +336,8 @@ def test_check_thf_handles_equality_types():
                           ("word", "s", 1, 16), ("eof", "", 1, 17)]),
     ("$ $true", [("dollar", "$", 1, 1), ("dollar", "$true", 1, 3),
                  ("eof", "", 1, 8)]),
-    ("é²", [("word", "é²", 1, 1), ("eof", "", 1, 3)]),
+    # TPTP words are ASCII: each other character is a token of its own
+    ("é²", [("stray", "é", 1, 1), ("stray", "²", 1, 2), ("eof", "", 1, 3)]),
 ])
 def test_check_thf_tokens(text, tokens):
     toks = _texts(text)
@@ -335,6 +353,9 @@ def test_check_thf_tokens(text, tokens):
     ("²", "1:1", "²"),
     ("x ١", "1:3", "١"),
     ("A-B", "1:2", "-"),
+    # TPTP words are ASCII, so a constant named café is refused
+    ("thf(café_tp, type, café: $i).\nthf(goal, conjecture, café = café).\n",
+     "1:8", "é"),
 ])
 def test_check_thf_stray_characters(text, where, char):
     assert [str(d) for d in check_thf(text)] == [
