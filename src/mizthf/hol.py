@@ -363,6 +363,32 @@ def free_names(t: Term) -> frozenset[str]:
     return frozenset(n for n, _ in free_vars(t))
 
 
+def free_names_and_constants(t: Term) -> tuple[set[str], list[Const]]:
+    """``free_names(t)`` and ``constants(t)`` from one walk."""
+    free: set[str] = set()
+    found: list[Const] = []
+
+    def go(t: Term, bound: frozenset[str]) -> None:
+        stack = [t]
+        while stack:
+            t = stack.pop()
+            cls = type(t)
+            if cls is Var:
+                if t.name not in bound:
+                    free.add(t.name)
+            elif cls is Const:
+                found.append(t)
+            elif cls in BINDERS:
+                # the body's walk ends before the stack's next entry, so
+                # constants still come in preorder
+                go(t.body, bound | {t.var})
+            else:
+                stack += reversed(children(t))
+
+    go(t, frozenset())
+    return free, found
+
+
 def fresh_name(base: str, avoid: Container[str]) -> str:
     """``base`` itself if unused, else the first free ``base<k>``."""
     if base not in avoid:
@@ -479,7 +505,8 @@ def type_of(t: Term, ctx: TypingContext) -> Type:
 
     ``ctx`` must give a type to every free variable and every constant;
     annotations on occurrences are checked against it.  Metavariables are
-    trusted at their annotation (their namespace is not ``ctx``'s).
+    trusted at their annotation (their namespace is not ``ctx``'s).  Like
+    ``children``, it dispatches on a term's exact class.
     """
 
     def want(expected: Type, found: Type, where: _Where) -> None:
@@ -487,52 +514,47 @@ def type_of(t: Term, ctx: TypingContext) -> Type:
             raise IllTyped(_path(where), expected, found)
 
     def go(t: Term, bound: dict[str, Type], where: _Where) -> Type:
-        match t:
-            case Var(n, ty):
-                declared = bound.get(n, ctx.get(n))
-                if declared is None:
-                    raise UnboundName(n)
-                if declared != ty:
-                    raise IllTyped(f"{_path(where)}:{n}", declared, ty)
-                return ty
-            case Const(n, ty):
-                declared = ctx.get(n)
-                if declared is None:
-                    raise UnboundName(n)
-                if declared != ty:
-                    raise IllTyped(f"{_path(where)}:{n}", declared, ty)
-                return ty
-            case Meta(_, ty):
-                return ty
-            case Top():
-                return PROP
-            case App(f, a):
-                ft = go(f, bound, (where, ".fn"))
-                at = go(a, bound, (where, ".arg"))
-                if not isinstance(ft, FnType):
-                    raise IllTyped(_path(where), "a function type", ft)
-                want(ft.dom, at, (where, ".arg"))
-                return ft.cod
-            case Lam(v, ty, b):
-                return FnType(ty, go(b, {**bound, v: ty}, (where, ".body")))
-            case Eq(l, r, ty):
-                lt = go(l, bound, (where, ".lhs"))
-                rt = go(r, bound, (where, ".rhs"))
-                want(ty, lt, (where, ".lhs"))
-                want(ty, rt, (where, ".rhs"))
-                return PROP
-            case Not(a):
-                want(PROP, go(a, bound, (where, ".arg")), (where, ".arg"))
-                return PROP
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                want(PROP, go(l, bound, (where, ".lhs")), (where, ".lhs"))
-                want(PROP, go(r, bound, (where, ".rhs")), (where, ".rhs"))
-                return PROP
-            case All(v, ty, b) | Ex(v, ty, b):
-                body = (where, ".body")
-                want(PROP, go(b, {**bound, v: ty}, body), body)
-                return PROP
-        raise TypeError(f"unexpected term {t!r}")
+        cls = type(t)
+        if cls is App:
+            ft = go(t.fn, bound, (where, ".fn"))
+            at = go(t.arg, bound, (where, ".arg"))
+            if not isinstance(ft, FnType):
+                raise IllTyped(_path(where), "a function type", ft)
+            want(ft.dom, at, (where, ".arg"))
+            return ft.cod
+        if cls is Var or cls is Const:
+            n, ty = t.name, t.type
+            declared = bound.get(n, ctx.get(n)) if cls is Var else ctx.get(n)
+            if declared is None:
+                raise UnboundName(n)
+            if declared != ty:
+                raise IllTyped(f"{_path(where)}:{n}", declared, ty)
+            return ty
+        if cls is And or cls is Or or cls is Imp or cls is Iff:
+            want(PROP, go(t.lhs, bound, (where, ".lhs")), (where, ".lhs"))
+            want(PROP, go(t.rhs, bound, (where, ".rhs")), (where, ".rhs"))
+            return PROP
+        if cls is Eq:
+            lt = go(t.lhs, bound, (where, ".lhs"))
+            rt = go(t.rhs, bound, (where, ".rhs"))
+            want(t.at_type, lt, (where, ".lhs"))
+            want(t.at_type, rt, (where, ".rhs"))
+            return PROP
+        if cls is Not:
+            want(PROP, go(t.arg, bound, (where, ".arg")), (where, ".arg"))
+            return PROP
+        if cls is Lam:
+            return FnType(t.var_type, go(t.body, {**bound, t.var: t.var_type},
+                                         (where, ".body")))
+        if cls is All or cls is Ex:
+            body = (where, ".body")
+            want(PROP, go(t.body, {**bound, t.var: t.var_type}, body), body)
+            return PROP
+        if cls is Meta:
+            return t.type
+        if cls is Top:
+            return PROP
+        _foreign(t)
 
     return go(t, {}, "root")
 
@@ -541,7 +563,13 @@ def collect_constants(ctx: dict[str, Type], t: Term) -> None:
     """Add every constant of ``t`` to ``ctx`` at its annotated type, in
     name order.  An annotation that disagrees with ``ctx`` raises
     ``IllTyped``."""
-    for c in sorted(constants(t), key=lambda c: c.name):
+    claim_constants(ctx, constants(t))
+
+
+def claim_constants(ctx: dict[str, Type], found: list[Const]) -> None:
+    """``collect_constants`` for the occurrences ``found``, in the order
+    a walk met them."""
+    for c in sorted(found, key=lambda c: c.name):
         if ctx.get(c.name, c.type) != c.type:
             raise IllTyped(c.name, ctx[c.name], c.type)
         ctx[c.name] = c.type

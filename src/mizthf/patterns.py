@@ -15,6 +15,16 @@ the pair ``M x1 .. xn  =?  t`` binds ``M := \\y1 .. yn. t``, where
 ``yi`` is the ground side's name for the level of ``xi``, provided every
 free variable of ``t`` stands for a spine level; a leftover bound
 variable cannot be abstracted and raises ``OccursEscape``.
+
+A solved metavariable met again is compared by level too.  Its solution
+``\\y1 .. yn. s`` applied to bound variables ``x1 .. xn`` only renames
+(Miller's pattern fragment), so ``s`` is compared with each ``yi``
+standing for the level of ``xi``, and nothing is substituted or
+normalized.  Any other spine, and a comparison that fails, substitute
+and normalize the occurrence instead, so a message shows the instance
+as it reads.  A ground side is walked once, to refuse a metavariable
+and to find out whether it needs normalizing; a scheme's matrix is
+normalized once for all its peels.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from . import hol
-from .hol import All, App, Const, Eq, Imp, Meta, Var
+from .hol import All, App, Const, Eq, Imp, Lam, Meta, Var
 
 
 class MatchError(Exception):
@@ -147,18 +157,32 @@ def is_pattern(t: hol.Term, bound: Iterable[str] = ()) -> bool:
 def pattern_match(pairs: Iterable[DisagreementPair]) -> Substitution:
     """Solve the pairs, matching pattern left sides against ground right
     sides.  Raises ``NotAPattern``, ``OccursEscape`` or ``NoMatch``."""
-    return _match((p.context, p.lhs, _ground(p.rhs)) for p in pairs)
+    return _match((p.context, p.lhs,
+                   _ground(p.rhs, "right sides must be ground"))
+                  for p in pairs)
 
 
-def _ground(t: hol.Term) -> hol.Term:
-    if hol.has_metas(t):
-        raise ValueError("right sides must be ground")
-    return hol.beta_normalize(t)
+def _ground(t: hol.Term, refusal: str) -> hol.Term:
+    """The normal form of ``t``, after one walk has refused a metavariable
+    (raising ``ValueError(refusal)``) and looked for a redex: a term
+    with none is its own normal form."""
+    redex = False
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        cls = type(s)
+        if cls is Meta:
+            raise ValueError(refusal)
+        if cls is App and type(s.fn) is Lam:
+            redex = True
+        stack += hol.children(s)
+    return hol.beta_normalize(t) if redex else t
 
 
-def _match(pairs: Iterable[tuple]) -> Substitution:
+def _match(pairs: Iterable[tuple], normal: bool = False) -> Substitution:
     """``pattern_match`` on ``(context, lhs, rhs)`` triples whose right
-    sides are already checked ground and normalized."""
+    sides are already checked ground and normalized, and whose left
+    sides are too when ``normal``."""
     sigma: dict[Meta, hol.Term] = {}
     # One entry per level, outermost first: the ground side's name for
     # the level's variable and its type.  ``lv`` and ``rv`` map each
@@ -167,29 +191,38 @@ def _match(pairs: Iterable[tuple]) -> Substitution:
 
     def solve(lhs: hol.Term, rhs: hol.Term, lv: dict[str, int],
               rv: dict[str, int]) -> None:
-        if isinstance(lhs, (App, Meta)):
+        cls = type(lhs)
+        if cls is App or cls is Meta:
             head, args = hol.spine(lhs)
-            if isinstance(head, Meta) and head in sigma:
-                # a solved metavariable heads the spine: re-normalize
-                lhs = hol.beta_normalize(subst_metas(lhs, sigma))
-                head, args = hol.spine(lhs)
-            if isinstance(head, Meta):
-                solve_flex(head, args, rhs, lv, rv)
+            if type(head) is Meta:
+                value = sigma.get(head)
+                if value is None:
+                    solve_flex(head, args, rhs, lv, rv)
+                else:
+                    solve_solved(value, args, lhs, rhs, lv, rv)
                 return
-        if type(lhs) is not type(rhs):
+        rigid(lhs, rhs, lv, rv)
+
+    def rigid(lhs: hol.Term, rhs: hol.Term, lv: dict[str, int],
+              rv: dict[str, int]) -> None:
+        """``solve`` for an ``lhs`` whose head is not a metavariable."""
+        cls = type(lhs)
+        if cls is not type(rhs):
             raise NoMatch("rigid heads differ: ", lhs, " against ", rhs)
-        if isinstance(lhs, Var):
+        if cls is App:
+            # the function part has the same head: no spine to split
+            rigid(lhs.fn, rhs.fn, lv, rv)
+            solve(lhs.arg, rhs.arg, lv, rv)
+        elif cls is Var:
             l1, l2 = lv.get(lhs.name), rv.get(rhs.name)
             if l1 != l2 or l1 is None and lhs != rhs:
                 raise NoMatch(f"variables {lhs.name!r} and {rhs.name!r} "
                               "differ")
-            return
-        if isinstance(lhs, Const):
+        elif cls is Const:
             if lhs != rhs:
                 raise NoMatch(f"constants {lhs.name!r} and {rhs.name!r} "
                               "differ")
-            return
-        if isinstance(lhs, hol.BINDERS):
+        elif cls in hol.BINDERS:
             ty = lhs.var_type
             if ty != rhs.var_type:
                 raise NoMatch("binder types ", ty, " and ", rhs.var_type,
@@ -198,12 +231,37 @@ def _match(pairs: Iterable[tuple]) -> Substitution:
             levels.append((rhs.var, ty))
             solve(lhs.body, rhs.body, {**lv, lhs.var: d}, {**rv, rhs.var: d})
             levels.pop()
-            return
-        if isinstance(lhs, Eq) and lhs.at_type != rhs.at_type:
-            raise NoMatch("equality types ", lhs.at_type, " and ",
-                          rhs.at_type, " differ")
-        for l, r in zip(hol.children(lhs), hol.children(rhs)):
-            solve(l, r, lv, rv)
+        else:
+            if cls is Eq and lhs.at_type != rhs.at_type:
+                raise NoMatch("equality types ", lhs.at_type, " and ",
+                              rhs.at_type, " differ")
+            for l, r in zip(hol.children(lhs), hol.children(rhs)):
+                solve(l, r, lv, rv)
+
+    def solve_solved(value: hol.Term, args: list[hol.Term], lhs: hol.Term,
+                     rhs: hol.Term, lv: dict[str, int],
+                     rv: dict[str, int]) -> None:
+        """``lhs`` is ``value`` applied to ``args``.  Applied to bound
+        variables, one per binder, ``value`` only renames them: its body
+        is compared with each binder standing for its argument's level.
+        Otherwise, or to word a failure as the instance reads, ``lhs`` is
+        substituted and normalized first."""
+        names: dict[str, int] = {}
+        for a in args:
+            level = lv.get(a.name) if type(a) is Var else None
+            if level is None or type(value) is not Lam:
+                break
+            names[value.var] = level
+            value = value.body
+        else:
+            if type(value) is not Lam:
+                depth = len(levels)
+                try:
+                    rigid(value, rhs, names, rv)
+                    return
+                except MatchError:
+                    del levels[depth:]
+        solve(hol.beta_normalize(subst_metas(lhs, sigma)), rhs, lv, rv)
 
     def solve_flex(meta: Meta, args: list[hol.Term], rhs: hol.Term,
                    lv: dict[str, int], rv: dict[str, int]) -> None:
@@ -216,7 +274,8 @@ def _match(pairs: Iterable[tuple]) -> Substitution:
             spine.append(level)
         if len(set(spine)) != len(spine):
             raise NotAPattern(f"?{meta.name} applied to repeated variables")
-        for name in sorted(hol.free_names(rhs)):
+        free, consts = hol.free_names_and_constants(rhs)
+        for name in sorted(free):
             if rv.get(name) not in spine:
                 raise OccursEscape(meta.name, name)
         # Abstract each spine level under the name the ground side uses
@@ -233,7 +292,7 @@ def _match(pairs: Iterable[tuple]) -> Substitution:
             binders.append((name, ty))
         value = hol.lams(binders, rhs)
         ctx: dict[str, hol.Type] = {}
-        hol.collect_constants(ctx, value)
+        hol.claim_constants(ctx, consts)
         found = hol.type_of(value, ctx)
         if found != meta.type:
             raise NoMatch(f"?{meta.name} wants type ", meta.type,
@@ -244,8 +303,10 @@ def _match(pairs: Iterable[tuple]) -> Substitution:
         levels[:] = context
         names = {name: level for level, (name, _) in enumerate(context)}
         if sigma:
-            lhs = subst_metas(lhs, sigma)
-        solve(hol.beta_normalize(lhs), rhs, names, names)
+            lhs = hol.beta_normalize(subst_metas(lhs, sigma))
+        elif not normal:
+            lhs = hol.beta_normalize(lhs)
+        solve(lhs, rhs, names, names)
     return Substitution._checked(sigma)
 
 
@@ -297,20 +358,21 @@ def recover_scheme_instantiation(scheme: hol.Term, conjecture: hol.Term,
     universals opened.  When the full matrix does not match, top-level
     hypotheses are peeled off one implication at a time and returned as
     side conditions."""
-    if hol.has_metas(conjecture):
-        raise ValueError("conjecture must be ground")
-    _, matrix = strip_outer_quantifiers(scheme, k)
-    # checked and normalized once, for every peel attempt
-    conjecture = hol.beta_normalize(conjecture)
+    conjecture = _ground(conjecture, "conjecture must be ground")
+    _, opened = strip_outer_quantifiers(scheme, k)
+    # Normalized once: the suffix each peel leaves is the right side of
+    # a normal implication, so it is normal too.  Peeling follows the
+    # opened matrix, whose hypotheses become the side conditions.
+    matrix = hol.beta_normalize(opened)
     hypotheses: list[hol.Term] = []
     while True:
         try:
-            sigma = _match([((), matrix, conjecture)])
+            sigma = _match([((), matrix, conjecture)], normal=True)
             break
         except NoMatch as e:
-            if isinstance(matrix, Imp):
-                hypotheses.append(matrix.lhs)
-                matrix = matrix.rhs
+            if isinstance(opened, Imp):
+                hypotheses.append(opened.lhs)
+                opened, matrix = opened.rhs, matrix.rhs
                 continue
             raise ShapeMismatch(
                 "conjecture fits no suffix of the scheme matrix") from e

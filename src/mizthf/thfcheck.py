@@ -83,7 +83,8 @@ _STACK_LOCK = threading.Lock()
 MEMO_LINES = 256
 
 # Tried in order after the skip.  TPTP words are ASCII letters, digits
-# and "_", and a digit cannot start one; any other character, such as "é"
+# and "_", and a digit cannot start one: such a token is a number, which
+# no rule of the checked subset takes.  Any other character, such as "é"
 # or "²", is a token of its own.  A "%" the skip leaves starts a comment
 # with no newline after it, so eof is there; ``\Z`` makes the pattern
 # match at the end, so findall never skips text.
@@ -102,6 +103,8 @@ def _kind(text: str) -> str:
         return "dollar"
     if first == "_" or first.isascii() and first.isalpha():
         return "word"
+    if first.isascii() and first.isdigit():
+        return "number"
     return "sym" if _SYMBOL.fullmatch(text) else "stray"
 
 

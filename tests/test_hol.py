@@ -359,6 +359,10 @@ def test_a_constructor_subclass_is_foreign(t):
         hol.map_children(u, lambda s: s)
     with pytest.raises(TypeError, match="unexpected term"):
         hol.constants(And(TOP, u))
+    ctx = ambient_context(t)
+    hol.type_of(t, ctx)
+    with pytest.raises(TypeError, match="unexpected term"):
+        hol.type_of(u, ctx)
 
 
 @pytest.mark.parametrize("walk", [

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from generators import planted_problem, random_closed_prop
-from mizthf import hol
+from mizthf import hol, patterns
 from mizthf.declarations import member
 from mizthf.hol import (
     All, And, App, Const, Eq, Ex, IllTyped, Imp, Lam, Meta, Not, Or, Top,
@@ -299,6 +300,61 @@ def test_recover_side_conditions_are_instantiated():
     assert got.side_conditions == (App(p1, c2),)
 
 
+def test_solved_heads_are_compared_without_substituting(monkeypatch):
+    """A solved metavariable applied to bound variables, one per binder
+    of its solution, is compared by level; only a mismatch, to word its
+    message, or any other spine substitutes."""
+    P, F = Meta("P", fn(i, i, o)), Meta("F", fn(i, i))
+    q = Const("q", fn(i, i, o))
+    x, y = Var("x", i), Var("y", i)
+    lhs = All("x", i, All("y", i, And(apps(P, x, y), apps(P, y, x))))
+    rhs = All("a", i, All("b", i, And(
+        apps(q, Var("a", i), Var("b", i)), apps(q, Var("b", i),
+                                                Var("a", i)))))
+    substituted = []
+    monkeypatch.setattr(patterns, "subst_metas", lambda t, m: (
+        substituted.append(t) or subst_metas(t, m)))
+    sigma = pattern_match([pair(lhs, rhs)])
+    assert substituted == []
+    assert hol.alpha_eq(sigma[P], lams([("s", i), ("t", i)], apps(
+        q, Var("s", i), Var("t", i))))
+    # a spine that is not bound variables, or of another length
+    sigma = pattern_match([pair(
+        All("x", i, And(Eq(App(F, x), c1, i), Eq(App(F, c2), c1, i))),
+        All("x", i, And(Eq(App(f1, x), c1, i), Eq(App(f1, c2), c1, i))))])
+    assert hol.alpha_eq(sigma[F], Lam("z", i, App(f1, Var("z", i))))
+    assert len(substituted) == 1
+    with pytest.raises(NoMatch):
+        pattern_match([pair(lhs, All("a", i, All("b", i, And(
+            apps(q, Var("a", i), Var("b", i)),
+            apps(q, Var("a", i), Var("b", i))))))])
+    assert len(substituted) == 2
+
+
+def test_ground_sides_are_checked_before_normalizing():
+    """A metavariable that normalizing would erase still makes a side
+    not ground; redexes on either side match as their normal forms."""
+    B = Meta("B", i)
+    erased = App(Lam("z", i, Top()), B)
+    assert hol.beta_normalize(erased) == Top()
+    with pytest.raises(ValueError, match="right sides must be ground"):
+        pattern_match([pair(Top(), erased)])
+    with pytest.raises(ValueError, match="conjecture must be ground"):
+        recover_scheme_instantiation(subset_scheme(), And(erased, Top()), 2)
+    rng = random.Random(99)
+    redexes = 0
+    for _ in range(200):
+        pattern, ground, _ = planted_problem(rng)
+        normal = pattern_match([pair(hol.beta_normalize(pattern), ground)])
+        redexes += hol.beta_normalize(pattern) != pattern
+        wrapped = App(Lam("z", o, Var("z", o)), ground)
+        assert pattern_match([pair(pattern, ground)]) == normal
+        assert pattern_match([pair(pattern, wrapped)]) == normal
+        assert pattern_match([pair(App(Lam("w", o, Var("w", o)), pattern),
+                                   wrapped)]) == normal
+    assert redexes > 10
+
+
 def test_recover_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         recover_scheme_instantiation(subset_scheme(), Eq(c1, c1, i), 2)
@@ -484,6 +540,20 @@ def test_matching_under_binders_never_substitutes(monkeypatch):
     ([pair(All("x", i, Eq(Meta("A", i), Var("x", i), i)),
            All("y", i, Eq(c1, c1, i)))],
      "rigid heads differ: x against c1"),
+    # a solved metavariable's later instance is shown as it reads, with
+    # the argument's name rather than the name of the solution's binder
+    ([pair(All("x", i, All("y", i, And(App(Meta("P", fn(i, o)), Var("x", i)),
+                                       App(Meta("P", fn(i, o)),
+                                           Var("y", i))))),
+           All("x", i, All("y", i, And(App(p1, Var("x", i)),
+                                       Not(App(p1, Var("y", i)))))))],
+     "rigid heads differ: p1 y against ¬p1 y"),
+    ([pair(All("x", i, All("y", i, And(App(Meta("P", fn(i, o)), Var("x", i)),
+                                       App(Meta("P", fn(i, o)),
+                                           Var("y", i))))),
+           All("y", i, All("x", i, And(App(p1, Var("y", i)), Ex(
+               "y", i, App(p1, Var("x", i)))))))],
+     "rigid heads differ: p1 y against ∃y:ι. p1 x"),
 ])
 def test_match_error_texts(pairs, text):
     with pytest.raises(MatchError) as exc:
@@ -509,3 +579,115 @@ def test_no_match_text_is_rendered_only_when_read(monkeypatch):
     got = recover_scheme_instantiation(subset_scheme(), Ex(
         "y", i, App(p1, Var("y", i))), 2)
     assert len(got.side_conditions) == 1 and shown == []
+
+
+# ------------------------------------------------------------- golden
+
+
+def _edited(t, old, new, every):
+    """``t`` with the first (or every) occurrence of constant ``old``
+    replaced by ``new``."""
+    done = []
+
+    def go(s):
+        if s == old and (every or not done):
+            done.append(s)
+            return new
+        return hol.map_children(s, go)
+
+    return go(t)
+
+
+def _scheme(pattern, solution, extra):
+    """``pattern`` closed over its metavariables as outer universals,
+    with ``extra`` as a hypothesis when given."""
+    metas = sorted(solution, key=lambda m: m.name)
+    closed = subst_metas(pattern, {m: Var(m.name, m.type) for m in metas})
+    matrix = closed if extra is None else Imp(extra, closed)
+    return hol.foralls([(m.name, m.type) for m in metas], matrix), len(metas)
+
+
+def golden_cases(seed, n):
+    """The matcher calls made of ``n`` seeded planted problems, as
+    ``(kind, call)`` pairs: planted,
+    cross-paired, two-pair, scheme-with-peel, strip k+1 and self-pair
+    problems, ground sides and patterns holding redexes, and
+    ``NotAPattern`` and ill-typed mutants."""
+    rng = random.Random(seed)
+    identity = Lam("z", o, Var("z", o))
+    cases = []
+    for _ in range(n):
+        pattern, ground, solution = planted_problem(rng)
+        other, other_ground, _ = planted_problem(rng)
+        extra = random_closed_prop(rng, fuel=2)
+        scheme, k = _scheme(pattern, solution, extra)
+        metas = sorted(solution, key=lambda m: m.name)
+        consts = hol.constants(ground)
+        c = rng.choice(consts) if consts else c1
+        every = rng.random() < 0.5
+        spine_arg = rng.choice([c1, Var("x1", i)])
+        unpattern = subst_metas(pattern, {
+            m: App(Meta(m.name, fn(i, m.type)), spine_arg) for m in metas})
+        junk = And(App(Lam("z", i, Top()), Meta("B", i)), ground)
+        cases += [
+            ("planted", lambda p=pattern, g=ground:
+             pattern_match([pair(p, g)])),
+            ("cross", lambda p=pattern, g=other_ground:
+             pattern_match([pair(p, g)])),
+            ("closed", lambda p=pattern, r=random_closed_prop(rng):
+             pattern_match([pair(p, r)])),
+            ("two-pair", lambda a=(pattern, ground), b=(other, other_ground):
+             pattern_match([pair(*a), pair(*b)])),
+            ("peel", lambda s=scheme, g=ground, k=k:
+             recover_scheme_instantiation(s, g, k)),
+            ("strip", lambda s=_scheme(pattern, solution, None)[0], g=ground,
+             k=k: recover_scheme_instantiation(s, g, k + 1)),
+            ("self", lambda g=ground: pattern_match([pair(g, g)])),
+            ("self-meta", lambda p=pattern: pattern_match([pair(p, p)])),
+            ("redex", lambda p=App(identity, pattern),
+             g=App(identity, ground): pattern_match([pair(p, g)])),
+            ("redex-meta", lambda p=pattern, g=junk:
+             pattern_match([pair(p, g)])),
+            ("redex-scheme", lambda s=scheme, g=junk, k=k:
+             recover_scheme_instantiation(s, g, k)),
+            ("unpattern", lambda p=unpattern, g=ground:
+             pattern_match([pair(p, g)])),
+            ("renamed", lambda p=pattern, g=_edited(
+                ground, c, Const("c9", c.type), every):
+             pattern_match([pair(p, g)])),
+            ("ill-typed", lambda p=pattern, g=_edited(
+                ground, c, Const(c.name, fn(i, c.type)), every):
+             pattern_match([pair(p, g)])),
+        ]
+    return cases
+
+
+def golden_outcome(call):
+    """The answer of ``call`` in full, or its failure's class and text."""
+    try:
+        got = call()
+    except (MatchError, ValueError, hol.HolTypeError) as e:
+        return f"{type(e).__name__}: {e}"
+    if isinstance(got, SchemeMatch):
+        got, side = got.substitution, got.side_conditions
+    else:
+        side = ()
+    return repr((list(got.items()), side))
+
+
+# SHA-256 of the outcome lines of ``golden_cases(1616, 500)``, recorded
+# with the matcher that substituted and normalized each solved head.
+GOLDEN_DIGEST = (
+    "d85b64eeb508a561e31d70a39f4c042aeff30779202459c21fa0ac9383023972")
+
+
+def test_matcher_golden():
+    """Answers, error classes and error texts on 7,000 seeded calls of
+    every kind stay byte for byte the recorded ones."""
+    lines = [f"{kind} {golden_outcome(call)}"
+             for kind, call in golden_cases(1616, 500)]
+    kinds = {line.split(" ", 2)[1].rstrip(":") for line in lines}
+    assert {"NoMatch", "OccursEscape", "NotAPattern", "ShapeMismatch",
+            "ValueError", "IllTyped"} <= kinds
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_DIGEST

@@ -338,6 +338,9 @@ def test_check_thf_handles_equality_types():
                  ("eof", "", 1, 8)]),
     # TPTP words are ASCII: each other character is a token of its own
     ("é²", [("stray", "é", 1, 1), ("stray", "²", 1, 2), ("eof", "", 1, 3)]),
+    # a digit cannot start a word: the token is a number, not a stray
+    ("2x a2 ٢", [("number", "2x", 1, 1), ("word", "a2", 1, 4),
+                 ("stray", "٢", 1, 7), ("eof", "", 1, 8)]),
 ])
 def test_check_thf_tokens(text, tokens):
     toks = _texts(text)
@@ -360,6 +363,21 @@ def test_check_thf_tokens(text, tokens):
 def test_check_thf_stray_characters(text, where, char):
     assert [str(d) for d in check_thf(text)] == [
         f"{where}: stray character {char!r} [syntax]"]
+
+
+@pytest.mark.parametrize("text,diag", [
+    ("thf(a_tp, type, 2x: $i).\n",
+     "1:17: constant name must be a lower word [syntax]"),
+    ("thf(a_tp, type, a: $i).\nthf(g, conjecture, a = 2).\n",
+     "2:24: expected a formula, found '2' [syntax]"),
+    ("thf(2x, axiom, $true).\n",
+     "1:5: formula name must be a lower word [syntax]"),
+])
+def test_check_thf_numbers_meet_the_grammar(text, diag):
+    """A token that starts with a digit is refused where the grammar
+    meets it, as a whole token."""
+    for _ in range(3):  # met once, memoized, memoized lines reused
+        assert [str(d) for d in check_thf(text)] == [diag]
 
 
 # ------------------------------------------------------- nesting and fuzz
