@@ -17,6 +17,13 @@ a term's exact class (so a constructor's subclass is foreign to them).
 Every other walk, here and in ``patterns``, handles the cases where it
 differs (variables, metavariables, binders) and hands the rest to that
 pair, so a new constructor needs only those two to change.
+
+A walk holds no reference to itself: its state is passed in as
+arguments or held by a small class, and a nested function handed to
+``map_children`` as its own callback (``subst_var``, and
+``subst_metas`` in ``patterns``) is deleted in a ``finally`` when its
+walk ends.  So a call leaves no reference cycle behind, and reference
+counting frees what it built as soon as it returns.
 """
 
 from __future__ import annotations
@@ -344,19 +351,20 @@ def metas(t: Term) -> set[Meta]:
 def free_vars(t: Term) -> frozenset[tuple[str, Type]]:
     """Free variables of ``t`` as (name, type) pairs."""
     out: set[tuple[str, Type]] = set()
-
-    def go(t: Term, bound: frozenset[str]) -> None:
-        if isinstance(t, Var):
-            if t.name not in bound:
-                out.add((t.name, t.type))
-        elif isinstance(t, BINDERS):
-            go(t.body, bound | {t.var})
-        else:
-            for c in children(t):
-                go(c, bound)
-
-    go(t, frozenset())
+    _free_vars(t, frozenset(), out)
     return frozenset(out)
+
+
+def _free_vars(t: Term, bound: frozenset[str],
+               out: set[tuple[str, Type]]) -> None:
+    if isinstance(t, Var):
+        if t.name not in bound:
+            out.add((t.name, t.type))
+    elif isinstance(t, BINDERS):
+        _free_vars(t.body, bound | {t.var}, out)
+    else:
+        for c in children(t):
+            _free_vars(c, bound, out)
 
 
 def free_names(t: Term) -> frozenset[str]:
@@ -367,26 +375,27 @@ def free_names_and_constants(t: Term) -> tuple[set[str], list[Const]]:
     """``free_names(t)`` and ``constants(t)`` from one walk."""
     free: set[str] = set()
     found: list[Const] = []
-
-    def go(t: Term, bound: frozenset[str]) -> None:
-        stack = [t]
-        while stack:
-            t = stack.pop()
-            cls = type(t)
-            if cls is Var:
-                if t.name not in bound:
-                    free.add(t.name)
-            elif cls is Const:
-                found.append(t)
-            elif cls in BINDERS:
-                # the body's walk ends before the stack's next entry, so
-                # constants still come in preorder
-                go(t.body, bound | {t.var})
-            else:
-                stack += reversed(children(t))
-
-    go(t, frozenset())
+    _free_and_constants(t, frozenset(), free, found)
     return free, found
+
+
+def _free_and_constants(t: Term, bound: frozenset[str], free: set[str],
+                        found: list[Const]) -> None:
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is Var:
+            if t.name not in bound:
+                free.add(t.name)
+        elif cls is Const:
+            found.append(t)
+        elif cls in BINDERS:
+            # the body's walk ends before the stack's next entry, so
+            # constants still come in preorder
+            _free_and_constants(t.body, bound | {t.var}, free, found)
+        else:
+            stack += reversed(children(t))
 
 
 def fresh_name(base: str, avoid: Container[str]) -> str:
@@ -416,7 +425,10 @@ def subst_var(t: Term, name: str, repl: Term) -> Term:
                 return type(t)(v2, ty, go(subst_var(b, v, Var(v2, ty))))
         return map_children(t, go)
 
-    return go(t)
+    try:
+        return go(t)
+    finally:
+        del go
 
 
 def beta_normalize(t: Term) -> Term:
@@ -438,26 +450,27 @@ def alpha_eq(s: Term, t: Term) -> bool:
     name to the level at which it was most recently bound, so shadowing
     and differing surface names are both handled.
     """
+    return _alpha_eq(s, t, {}, {}, 0)
 
-    def go(s: Term, t: Term, es: dict[str, int], et: dict[str, int], d: int) -> bool:
-        if type(s) is not type(t):
-            return False
-        if isinstance(s, Var):
-            l1, l2 = es.get(s.name), et.get(t.name)
-            if l1 is None and l2 is None:
-                return s == t
-            return l1 == l2
-        if isinstance(s, (Const, Meta)):
+
+def _alpha_eq(s: Term, t: Term, es: dict[str, int], et: dict[str, int],
+              d: int) -> bool:
+    if type(s) is not type(t):
+        return False
+    if isinstance(s, Var):
+        l1, l2 = es.get(s.name), et.get(t.name)
+        if l1 is None and l2 is None:
             return s == t
-        if isinstance(s, BINDERS):
-            return s.var_type == t.var_type and go(
-                s.body, t.body, {**es, s.var: d}, {**et, t.var: d}, d + 1)
-        if isinstance(s, Eq) and s.at_type != t.at_type:
-            return False
-        return all(go(a, b, es, et, d)
-                   for a, b in zip(children(s), children(t)))
-
-    return go(s, t, {}, {}, 0)
+        return l1 == l2
+    if isinstance(s, (Const, Meta)):
+        return s == t
+    if isinstance(s, BINDERS):
+        return s.var_type == t.var_type and _alpha_eq(
+            s.body, t.body, {**es, s.var: d}, {**et, t.var: d}, d + 1)
+    if isinstance(s, Eq) and s.at_type != t.at_type:
+        return False
+    return all(_alpha_eq(a, b, es, et, d)
+               for a, b in zip(children(s), children(t)))
 
 
 # --------------------------------------------------------------- typing
@@ -508,55 +521,61 @@ def type_of(t: Term, ctx: TypingContext) -> Type:
     trusted at their annotation (their namespace is not ``ctx``'s).  Like
     ``children``, it dispatches on a term's exact class.
     """
+    return _type_of(t, ctx, {}, "root")
 
-    def want(expected: Type, found: Type, where: _Where) -> None:
-        if found != expected:
-            raise IllTyped(_path(where), expected, found)
 
-    def go(t: Term, bound: dict[str, Type], where: _Where) -> Type:
-        cls = type(t)
-        if cls is App:
-            ft = go(t.fn, bound, (where, ".fn"))
-            at = go(t.arg, bound, (where, ".arg"))
-            if not isinstance(ft, FnType):
-                raise IllTyped(_path(where), "a function type", ft)
-            want(ft.dom, at, (where, ".arg"))
-            return ft.cod
-        if cls is Var or cls is Const:
-            n, ty = t.name, t.type
-            declared = bound.get(n, ctx.get(n)) if cls is Var else ctx.get(n)
-            if declared is None:
-                raise UnboundName(n)
-            if declared != ty:
-                raise IllTyped(f"{_path(where)}:{n}", declared, ty)
-            return ty
-        if cls is And or cls is Or or cls is Imp or cls is Iff:
-            want(PROP, go(t.lhs, bound, (where, ".lhs")), (where, ".lhs"))
-            want(PROP, go(t.rhs, bound, (where, ".rhs")), (where, ".rhs"))
-            return PROP
-        if cls is Eq:
-            lt = go(t.lhs, bound, (where, ".lhs"))
-            rt = go(t.rhs, bound, (where, ".rhs"))
-            want(t.at_type, lt, (where, ".lhs"))
-            want(t.at_type, rt, (where, ".rhs"))
-            return PROP
-        if cls is Not:
-            want(PROP, go(t.arg, bound, (where, ".arg")), (where, ".arg"))
-            return PROP
-        if cls is Lam:
-            return FnType(t.var_type, go(t.body, {**bound, t.var: t.var_type},
-                                         (where, ".body")))
-        if cls is All or cls is Ex:
-            body = (where, ".body")
-            want(PROP, go(t.body, {**bound, t.var: t.var_type}, body), body)
-            return PROP
-        if cls is Meta:
-            return t.type
-        if cls is Top:
-            return PROP
-        _foreign(t)
+def _want(expected: Type, found: Type, where: _Where) -> None:
+    if found != expected:
+        raise IllTyped(_path(where), expected, found)
 
-    return go(t, {}, "root")
+
+def _type_of(t: Term, ctx: TypingContext, bound: dict[str, Type],
+             where: _Where) -> Type:
+    cls = type(t)
+    if cls is App:
+        ft = _type_of(t.fn, ctx, bound, (where, ".fn"))
+        at = _type_of(t.arg, ctx, bound, (where, ".arg"))
+        if not isinstance(ft, FnType):
+            raise IllTyped(_path(where), "a function type", ft)
+        _want(ft.dom, at, (where, ".arg"))
+        return ft.cod
+    if cls is Var or cls is Const:
+        n, ty = t.name, t.type
+        declared = bound.get(n, ctx.get(n)) if cls is Var else ctx.get(n)
+        if declared is None:
+            raise UnboundName(n)
+        if declared != ty:
+            raise IllTyped(f"{_path(where)}:{n}", declared, ty)
+        return ty
+    if cls is And or cls is Or or cls is Imp or cls is Iff:
+        _want(PROP, _type_of(t.lhs, ctx, bound, (where, ".lhs")),
+              (where, ".lhs"))
+        _want(PROP, _type_of(t.rhs, ctx, bound, (where, ".rhs")),
+              (where, ".rhs"))
+        return PROP
+    if cls is Eq:
+        lt = _type_of(t.lhs, ctx, bound, (where, ".lhs"))
+        rt = _type_of(t.rhs, ctx, bound, (where, ".rhs"))
+        _want(t.at_type, lt, (where, ".lhs"))
+        _want(t.at_type, rt, (where, ".rhs"))
+        return PROP
+    if cls is Not:
+        _want(PROP, _type_of(t.arg, ctx, bound, (where, ".arg")),
+              (where, ".arg"))
+        return PROP
+    if cls is Lam:
+        return FnType(t.var_type, _type_of(
+            t.body, ctx, {**bound, t.var: t.var_type}, (where, ".body")))
+    if cls is All or cls is Ex:
+        body = (where, ".body")
+        _want(PROP, _type_of(t.body, ctx, {**bound, t.var: t.var_type}, body),
+              body)
+        return PROP
+    if cls is Meta:
+        return t.type
+    if cls is Top:
+        return PROP
+    _foreign(t)
 
 
 def collect_constants(ctx: dict[str, Type], t: Term) -> None:
@@ -612,34 +631,34 @@ _LEVEL_ATOM = 8
 
 def show_term(t: Term) -> str:
     """Debug rendering; not a stable format."""
+    return _show(t, 0)
 
-    def go(t: Term, need: int) -> str:
-        match t:
-            case Var(n, _) | Const(n, _):
-                return n
-            case Meta(n, _):
-                return f"?{n}"
-            case Top():
-                return "⊤"
-            case Not(a):
-                return f"¬{go(a, _LEVEL_NOT)}"
-            case App(App(Const(name, _), l), r) if name == MEMBER:
-                s = f"{go(l, _LEVEL_APP)} ∈ {go(r, _LEVEL_APP)}"
-                have = _LEVEL_EQ
-            case App(f, a):
-                s = f"{go(f, _LEVEL_APP)} {go(a, _LEVEL_ATOM)}"
-                have = _LEVEL_APP
-            case Eq(l, r, _):
-                s = f"{go(l, _LEVEL_APP)} = {go(r, _LEVEL_APP)}"
-                have = _LEVEL_EQ
-            case _ if type(t) in OPERATORS:
-                sign, have = OPERATORS[type(t)]
-                s = f"{go(t.lhs, have + 1)} {sign} {go(t.rhs, have)}"
-            case _ if type(t) in BINDER_SIGNS:
-                sign, have = BINDER_SIGNS[type(t)], 0
-                s = f"{sign}{t.var}:{t.var_type}. {go(t.body, 0)}"
-            case _:
-                raise TypeError(f"unexpected term {t!r}")
-        return f"({s})" if have < need else s
 
-    return go(t, 0)
+def _show(t: Term, need: int) -> str:
+    match t:
+        case Var(n, _) | Const(n, _):
+            return n
+        case Meta(n, _):
+            return f"?{n}"
+        case Top():
+            return "⊤"
+        case Not(a):
+            return f"¬{_show(a, _LEVEL_NOT)}"
+        case App(App(Const(name, _), l), r) if name == MEMBER:
+            s = f"{_show(l, _LEVEL_APP)} ∈ {_show(r, _LEVEL_APP)}"
+            have = _LEVEL_EQ
+        case App(f, a):
+            s = f"{_show(f, _LEVEL_APP)} {_show(a, _LEVEL_ATOM)}"
+            have = _LEVEL_APP
+        case Eq(l, r, _):
+            s = f"{_show(l, _LEVEL_APP)} = {_show(r, _LEVEL_APP)}"
+            have = _LEVEL_EQ
+        case _ if type(t) in OPERATORS:
+            sign, have = OPERATORS[type(t)]
+            s = f"{_show(t.lhs, have + 1)} {sign} {_show(t.rhs, have)}"
+        case _ if type(t) in BINDER_SIGNS:
+            sign, have = BINDER_SIGNS[type(t)], 0
+            s = f"{sign}{t.var}:{t.var_type}. {_show(t.body, 0)}"
+        case _:
+            raise TypeError(f"unexpected term {t!r}")
+    return f"({s})" if have < need else s

@@ -456,117 +456,131 @@ def well_formed(s: MStatement, sig: Signature) -> list[Diagnostic]:
     variables by quantifier or Fraenkel binders is allowed, and a bound
     name shadows a signature constant (not a type), as in the parser.
     """
-    out: list[Diagnostic] = []
-
-    def bad(code: str, message: str, where: hol._Where) -> None:
-        out.append(Diagnostic(code, message, hol._path(where)))
-
-    def check_name(node: object, name: str, args: tuple[MTerm, ...],
-                   scope: _Scope, where: hol._Where) -> None:
-        """``node``'s ``BINDINGS`` row on its name, then its arguments."""
-        b = BINDINGS[type(node)]
-        got = scope.get(name) if b.scoped else sig.lookup(name)
-        if got is None and not (b.subject and name in scope):
-            bad("unknown-name", f"{b.noun} {name!r} is not in scope"
-                if b.scoped else f"unknown {b.noun} {name!r}", where)
-        elif got is None or got[0] not in b.kinds:
-            bad("kind-mismatch", f"{name!r} is not {b.wanted}", where)
-        elif got[1] != len(args) + b.subject:
-            what = f"{b.noun} " if b.subject else ""
-            bad("arity-mismatch", f"{what}{name!r} takes "
-                f"{got[1] - b.subject} argument(s), got {len(args)}", where)
-        elif name in scope and not (b.scoped or b.subject):
-            bad("shadowed-name", f"{b.noun} {name!r} is shadowed by a "
-                "bound name", where)
-        if args:
-            for i, a in enumerate(args):
-                check_term(a, scope, (where, ".args", i))
-
-    def check_type(t: MType, scope: _Scope, where: hol._Where) -> None:
-        match t:
-            case SetType():
-                pass
-            case Mode(name, args):
-                check_name(t, name, args, scope, where)
-            case Attr(name, base) | NonAttr(name, base):
-                check_name(t, name, (), scope, where)
-                check_type(base, scope, (where, ".base"))
-            case _:
-                bad("bad-node", f"not an MType: {t!r}", where)
-
-    def check_term(t: MTerm, scope: _Scope, where: hol._Where) -> None:
-        match t:
-            case ObjVar(name) | ObjConst(name):
-                check_name(t, name, (), scope, where)
-            case FunVarApp(name, ()):
-                check_name(t, name, (), scope, where)
-                bad("arity-mismatch",
-                    f"function application {name!r} needs arguments", where)
-            case FunVarApp(name, args) | FunConstApp(name, args):
-                check_name(t, name, args, scope, where)
-            case The(mtype):
-                check_type(mtype, scope, (where, ".type"))
-            case Fraenkel(binders, body, guard):
-                if not binders:
-                    bad("empty-binders",
-                        "comprehension needs at least one binder", where)
-                inner = dict(scope)
-                seen: set[str] = set()
-                for i, (name, mt) in enumerate(binders):
-                    if name in seen:
-                        bad("duplicate-binder",
-                            f"binder {name!r} repeated", (where, ".binders", i))
-                    seen.add(name)
-                    check_type(mt, inner, (where, ".binders", i))
-                    inner[name] = (OBJ, 0)
-                check_term(body, inner, (where, ".body"))
-                check_prop(guard, inner, (where, ".guard"))
-            case _:
-                bad("bad-node", f"not an MTerm: {t!r}", where)
-
-    def check_prop(p: MProp, scope: _Scope, where: hol._Where) -> None:
-        match p:
-            case PredVarApp(name, args) | PredConstApp(name, args):
-                check_name(p, name, args, scope, where)
-            case MEq(l, r) | MIn(l, r):
-                check_term(l, scope, (where, ".lhs"))
-                check_term(r, scope, (where, ".rhs"))
-            case MNot(a):
-                check_prop(a, scope, (where, ".arg"))
-            case MConnective(l, r):
-                check_prop(l, scope, (where, ".lhs"))
-                check_prop(r, scope, (where, ".rhs"))
-            case MQuantifier(var, mt, body):
-                check_type(mt, scope, (where, ".type"))
-                check_prop(body, {**scope, var: (OBJ, 0)}, (where, ".body"))
-            case _:
-                bad("bad-node", f"not an MProp: {p!r}", where)
-
+    check = _WellFormed(sig)
     scope: _Scope = {}
     for i, decl in enumerate(s.prefix):
         where = f"prefix[{i}]"
         match decl:
             case ObjDecl(name, mt):
-                check_type(mt, scope, where)
+                check.check_type(mt, scope, where)
                 new = (OBJ, 0)
             case FunDecl(name, args, result):
                 if not args:
-                    bad("arity-mismatch",
-                        f"function variable {name!r} needs at least one "
-                        "argument type", where)
+                    check.bad("arity-mismatch",
+                              f"function variable {name!r} needs at least "
+                              "one argument type", where)
                 for j, a in enumerate(args):
-                    check_type(a, scope, (where, ".args", j))
-                check_type(result, scope, (where, ".result"))
+                    check.check_type(a, scope, (where, ".args", j))
+                check.check_type(result, scope, (where, ".result"))
                 new = (FUNC, len(args))
             case PredDecl(name, args):
                 for j, a in enumerate(args):
-                    check_type(a, scope, (where, ".args", j))
+                    check.check_type(a, scope, (where, ".args", j))
                 new = (PRED, len(args))
             case _:
-                bad("bad-node", f"not a declaration: {decl!r}", where)
+                check.bad("bad-node", f"not a declaration: {decl!r}", where)
                 continue
         if name in scope:
-            bad("duplicate-decl", f"{name!r} declared twice in prefix", where)
+            check.bad("duplicate-decl",
+                      f"{name!r} declared twice in prefix", where)
         scope[name] = new
-    check_prop(s.body, scope, "body")
-    return out
+    check.check_prop(s.body, scope, "body")
+    return check.out
+
+
+class _WellFormed:
+    """``well_formed``'s walk: the signature it checks against, and the
+    diagnostics found so far."""
+
+    __slots__ = ("sig", "out")
+
+    def __init__(self, sig: Signature) -> None:
+        self.sig = sig
+        self.out: list[Diagnostic] = []
+
+    def bad(self, code: str, message: str, where: hol._Where) -> None:
+        self.out.append(Diagnostic(code, message, hol._path(where)))
+
+    def check_name(self, node: object, name: str, args: tuple[MTerm, ...],
+                   scope: _Scope, where: hol._Where) -> None:
+        """``node``'s ``BINDINGS`` row on its name, then its arguments."""
+        b = BINDINGS[type(node)]
+        got = scope.get(name) if b.scoped else self.sig.lookup(name)
+        if got is None and not (b.subject and name in scope):
+            self.bad("unknown-name", f"{b.noun} {name!r} is not in scope"
+                     if b.scoped else f"unknown {b.noun} {name!r}", where)
+        elif got is None or got[0] not in b.kinds:
+            self.bad("kind-mismatch", f"{name!r} is not {b.wanted}", where)
+        elif got[1] != len(args) + b.subject:
+            what = f"{b.noun} " if b.subject else ""
+            self.bad("arity-mismatch", f"{what}{name!r} takes "
+                     f"{got[1] - b.subject} argument(s), got {len(args)}",
+                     where)
+        elif name in scope and not (b.scoped or b.subject):
+            self.bad("shadowed-name", f"{b.noun} {name!r} is shadowed by "
+                     "a bound name", where)
+        if args:
+            for i, a in enumerate(args):
+                self.check_term(a, scope, (where, ".args", i))
+
+    def check_type(self, t: MType, scope: _Scope, where: hol._Where) -> None:
+        match t:
+            case SetType():
+                pass
+            case Mode(name, args):
+                self.check_name(t, name, args, scope, where)
+            case Attr(name, base) | NonAttr(name, base):
+                self.check_name(t, name, (), scope, where)
+                self.check_type(base, scope, (where, ".base"))
+            case _:
+                self.bad("bad-node", f"not an MType: {t!r}", where)
+
+    def check_term(self, t: MTerm, scope: _Scope, where: hol._Where) -> None:
+        match t:
+            case ObjVar(name) | ObjConst(name):
+                self.check_name(t, name, (), scope, where)
+            case FunVarApp(name, ()):
+                self.check_name(t, name, (), scope, where)
+                self.bad("arity-mismatch",
+                         f"function application {name!r} needs arguments",
+                         where)
+            case FunVarApp(name, args) | FunConstApp(name, args):
+                self.check_name(t, name, args, scope, where)
+            case The(mtype):
+                self.check_type(mtype, scope, (where, ".type"))
+            case Fraenkel(binders, body, guard):
+                if not binders:
+                    self.bad("empty-binders",
+                             "comprehension needs at least one binder", where)
+                inner = dict(scope)
+                seen: set[str] = set()
+                for i, (name, mt) in enumerate(binders):
+                    if name in seen:
+                        self.bad("duplicate-binder", f"binder {name!r} "
+                                 "repeated", (where, ".binders", i))
+                    seen.add(name)
+                    self.check_type(mt, inner, (where, ".binders", i))
+                    inner[name] = (OBJ, 0)
+                self.check_term(body, inner, (where, ".body"))
+                self.check_prop(guard, inner, (where, ".guard"))
+            case _:
+                self.bad("bad-node", f"not an MTerm: {t!r}", where)
+
+    def check_prop(self, p: MProp, scope: _Scope, where: hol._Where) -> None:
+        match p:
+            case PredVarApp(name, args) | PredConstApp(name, args):
+                self.check_name(p, name, args, scope, where)
+            case MEq(l, r) | MIn(l, r):
+                self.check_term(l, scope, (where, ".lhs"))
+                self.check_term(r, scope, (where, ".rhs"))
+            case MNot(a):
+                self.check_prop(a, scope, (where, ".arg"))
+            case MConnective(l, r):
+                self.check_prop(l, scope, (where, ".lhs"))
+                self.check_prop(r, scope, (where, ".rhs"))
+            case MQuantifier(var, mt, body):
+                self.check_type(mt, scope, (where, ".type"))
+                self.check_prop(body, {**scope, var: (OBJ, 0)},
+                                (where, ".body"))
+            case _:
+                self.bad("bad-node", f"not an MProp: {p!r}", where)

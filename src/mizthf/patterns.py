@@ -87,7 +87,10 @@ def subst_metas(t: hol.Term, mapping: Mapping[Meta, hol.Term]) -> hol.Term:
             return mapping.get(t, t)
         return hol.map_children(t, go)
 
-    return go(t)
+    try:
+        return go(t)
+    finally:
+        del go
 
 
 class Substitution(Mapping[Meta, hol.Term]):
@@ -141,17 +144,17 @@ class Substitution(Mapping[Meta, hol.Term]):
 def is_pattern(t: hol.Term, bound: Iterable[str] = ()) -> bool:
     """True when every metavariable occurrence is applied to distinct
     variables bound within ``t`` or listed in ``bound``."""
+    return _is_pattern(t, frozenset(bound))
 
-    def walk(t: hol.Term, bound: frozenset[str]) -> bool:
-        head, args = hol.spine(t)
-        if isinstance(head, Meta):
-            names = {a.name for a in args if isinstance(a, Var)}
-            return len(names) == len(args) and names <= bound
-        if isinstance(t, hol.BINDERS):
-            return walk(t.body, bound | {t.var})
-        return all(walk(c, bound) for c in hol.children(t))
 
-    return walk(t, frozenset(bound))
+def _is_pattern(t: hol.Term, bound: frozenset[str]) -> bool:
+    head, args = hol.spine(t)
+    if isinstance(head, Meta):
+        names = {a.name for a in args if isinstance(a, Var)}
+        return len(names) == len(args) and names <= bound
+    if isinstance(t, hol.BINDERS):
+        return _is_pattern(t.body, bound | {t.var})
+    return all(_is_pattern(c, bound) for c in hol.children(t))
 
 
 def pattern_match(pairs: Iterable[DisagreementPair]) -> Substitution:
@@ -183,27 +186,46 @@ def _match(pairs: Iterable[tuple], normal: bool = False) -> Substitution:
     """``pattern_match`` on ``(context, lhs, rhs)`` triples whose right
     sides are already checked ground and normalized, and whose left
     sides are too when ``normal``."""
-    sigma: dict[Meta, hol.Term] = {}
-    # One entry per level, outermost first: the ground side's name for
-    # the level's variable and its type.  ``lv`` and ``rv`` map each
-    # side's names to the level that binds them now.
-    levels: list[tuple[str, hol.Type]] = []
+    matcher = _Matcher()
+    for context, lhs, rhs in pairs:
+        matcher.levels[:] = context
+        names = {name: level for level, (name, _) in enumerate(context)}
+        if matcher.sigma:
+            lhs = hol.beta_normalize(subst_metas(lhs, matcher.sigma))
+        elif not normal:
+            lhs = hol.beta_normalize(lhs)
+        matcher.solve(lhs, rhs, names, names)
+    return Substitution._checked(matcher.sigma)
 
-    def solve(lhs: hol.Term, rhs: hol.Term, lv: dict[str, int],
+
+class _Matcher:
+    """The solver's state across its pairs: ``sigma`` holds the solved
+    metavariables, and ``levels`` one entry per level, outermost first:
+    the ground side's name for the level's variable and its type.  The
+    ``lv`` and ``rv`` each step takes map each side's names to the level
+    that binds them now."""
+
+    __slots__ = ("sigma", "levels")
+
+    def __init__(self) -> None:
+        self.sigma: dict[Meta, hol.Term] = {}
+        self.levels: list[tuple[str, hol.Type]] = []
+
+    def solve(self, lhs: hol.Term, rhs: hol.Term, lv: dict[str, int],
               rv: dict[str, int]) -> None:
         cls = type(lhs)
         if cls is App or cls is Meta:
             head, args = hol.spine(lhs)
             if type(head) is Meta:
-                value = sigma.get(head)
+                value = self.sigma.get(head)
                 if value is None:
-                    solve_flex(head, args, rhs, lv, rv)
+                    self.solve_flex(head, args, rhs, lv, rv)
                 else:
-                    solve_solved(value, args, lhs, rhs, lv, rv)
+                    self.solve_solved(value, args, lhs, rhs, lv, rv)
                 return
-        rigid(lhs, rhs, lv, rv)
+        self.rigid(lhs, rhs, lv, rv)
 
-    def rigid(lhs: hol.Term, rhs: hol.Term, lv: dict[str, int],
+    def rigid(self, lhs: hol.Term, rhs: hol.Term, lv: dict[str, int],
               rv: dict[str, int]) -> None:
         """``solve`` for an ``lhs`` whose head is not a metavariable."""
         cls = type(lhs)
@@ -211,8 +233,8 @@ def _match(pairs: Iterable[tuple], normal: bool = False) -> Substitution:
             raise NoMatch("rigid heads differ: ", lhs, " against ", rhs)
         if cls is App:
             # the function part has the same head: no spine to split
-            rigid(lhs.fn, rhs.fn, lv, rv)
-            solve(lhs.arg, rhs.arg, lv, rv)
+            self.rigid(lhs.fn, rhs.fn, lv, rv)
+            self.solve(lhs.arg, rhs.arg, lv, rv)
         elif cls is Var:
             l1, l2 = lv.get(lhs.name), rv.get(rhs.name)
             if l1 != l2 or l1 is None and lhs != rhs:
@@ -227,19 +249,21 @@ def _match(pairs: Iterable[tuple], normal: bool = False) -> Substitution:
             if ty != rhs.var_type:
                 raise NoMatch("binder types ", ty, " and ", rhs.var_type,
                               " differ")
+            levels = self.levels
             d = len(levels)
             levels.append((rhs.var, ty))
-            solve(lhs.body, rhs.body, {**lv, lhs.var: d}, {**rv, rhs.var: d})
+            self.solve(lhs.body, rhs.body, {**lv, lhs.var: d},
+                       {**rv, rhs.var: d})
             levels.pop()
         else:
             if cls is Eq and lhs.at_type != rhs.at_type:
                 raise NoMatch("equality types ", lhs.at_type, " and ",
                               rhs.at_type, " differ")
             for l, r in zip(hol.children(lhs), hol.children(rhs)):
-                solve(l, r, lv, rv)
+                self.solve(l, r, lv, rv)
 
-    def solve_solved(value: hol.Term, args: list[hol.Term], lhs: hol.Term,
-                     rhs: hol.Term, lv: dict[str, int],
+    def solve_solved(self, value: hol.Term, args: list[hol.Term],
+                     lhs: hol.Term, rhs: hol.Term, lv: dict[str, int],
                      rv: dict[str, int]) -> None:
         """``lhs`` is ``value`` applied to ``args``.  Applied to bound
         variables, one per binder, ``value`` only renames them: its body
@@ -255,15 +279,16 @@ def _match(pairs: Iterable[tuple], normal: bool = False) -> Substitution:
             value = value.body
         else:
             if type(value) is not Lam:
-                depth = len(levels)
+                depth = len(self.levels)
                 try:
-                    rigid(value, rhs, names, rv)
+                    self.rigid(value, rhs, names, rv)
                     return
                 except MatchError:
-                    del levels[depth:]
-        solve(hol.beta_normalize(subst_metas(lhs, sigma)), rhs, lv, rv)
+                    del self.levels[depth:]
+        self.solve(hol.beta_normalize(subst_metas(lhs, self.sigma)), rhs,
+                   lv, rv)
 
-    def solve_flex(meta: Meta, args: list[hol.Term], rhs: hol.Term,
+    def solve_flex(self, meta: Meta, args: list[hol.Term], rhs: hol.Term,
                    lv: dict[str, int], rv: dict[str, int]) -> None:
         spine: list[int] = []
         for a in args:
@@ -285,7 +310,7 @@ def _match(pairs: Iterable[tuple], normal: bool = False) -> Substitution:
         binders: list[tuple[str, hol.Type]] = []
         taken: set[str] = set()
         for level in spine:
-            name, ty = levels[level]
+            name, ty = self.levels[level]
             if rv.get(name) != level:
                 name = hol.fresh_name(name, taken | rv.keys())
             taken.add(name)
@@ -297,17 +322,7 @@ def _match(pairs: Iterable[tuple], normal: bool = False) -> Substitution:
         if found != meta.type:
             raise NoMatch(f"?{meta.name} wants type ", meta.type,
                           ", solution has ", found)
-        sigma[meta] = value
-
-    for context, lhs, rhs in pairs:
-        levels[:] = context
-        names = {name: level for level, (name, _) in enumerate(context)}
-        if sigma:
-            lhs = hol.beta_normalize(subst_metas(lhs, sigma))
-        elif not normal:
-            lhs = hol.beta_normalize(lhs)
-        solve(lhs, rhs, names, names)
-    return Substitution._checked(sigma)
+        self.sigma[meta] = value
 
 
 def strip_outer_quantifiers(formula: hol.Term,
@@ -315,6 +330,14 @@ def strip_outer_quantifiers(formula: hol.Term,
     """Replace the ``k`` outermost universals by fresh metavariables
     named after the binders.  Returns the metavariables in binding
     order together with the opened matrix."""
+    metas, matrix, _ = _strip(formula, k)
+    return metas, matrix
+
+
+def _strip(formula: hol.Term,
+           k: int) -> tuple[list[Meta], hol.Term, bool]:
+    """``strip_outer_quantifiers``, and whether the matrix holds a
+    beta-redex."""
     metas: list[Meta] = []
     opened: dict[str, Meta] = {}
     t = formula
@@ -325,22 +348,34 @@ def strip_outer_quantifiers(formula: hol.Term,
         metas.append(m)
         opened[t.var] = m
         t = t.body
-    return metas, _open(t, opened)
+    return metas, *_open(t, opened)
 
 
-def _open(t: hol.Term, opened: Mapping[str, Meta]) -> hol.Term:
+def _open(t: hol.Term,
+          opened: Mapping[str, Meta]) -> tuple[hol.Term, bool]:
     """``t`` with each free variable named in ``opened`` replaced by its
-    metavariable; a metavariable is closed, so nothing is captured."""
+    metavariable (a metavariable is closed, so nothing is captured), and
+    whether ``t`` holds a beta-redex: a metavariable heads none."""
+    redex = False
 
     def go(t: hol.Term) -> hol.Term:
-        if isinstance(t, Var):
+        nonlocal redex
+        cls = type(t)
+        if cls is Var:
             return opened.get(t.name, t)
-        if isinstance(t, hol.BINDERS) and t.var in opened:
+        if cls in hol.BINDERS and t.var in opened:
             inner = {n: m for n, m in opened.items() if n != t.var}
-            return hol.map_children(t, lambda b: _open(b, inner))
+            body, inner_redex = _open(t.body, inner)
+            redex = redex or inner_redex
+            return t if body is t.body else cls(t.var, t.var_type, body)
+        if cls is App and type(t.fn) is Lam:
+            redex = True
         return hol.map_children(t, go)
 
-    return go(t) if opened else t
+    try:
+        return go(t), redex
+    finally:
+        del go
 
 
 @dataclass(frozen=True)
@@ -359,11 +394,12 @@ def recover_scheme_instantiation(scheme: hol.Term, conjecture: hol.Term,
     hypotheses are peeled off one implication at a time and returned as
     side conditions."""
     conjecture = _ground(conjecture, "conjecture must be ground")
-    _, opened = strip_outer_quantifiers(scheme, k)
-    # Normalized once: the suffix each peel leaves is the right side of
-    # a normal implication, so it is normal too.  Peeling follows the
-    # opened matrix, whose hypotheses become the side conditions.
-    matrix = hol.beta_normalize(opened)
+    _, opened, redex = _strip(scheme, k)
+    # Normalized once, and only if the open walk met a redex: the suffix
+    # each peel leaves is the right side of a normal implication, so it
+    # is normal too.  Peeling follows the opened matrix, whose
+    # hypotheses become the side conditions.
+    matrix = hol.beta_normalize(opened) if redex else opened
     hypotheses: list[hol.Term] = []
     while True:
         try:

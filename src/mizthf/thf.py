@@ -186,48 +186,52 @@ _BINOP = {And: "&", Or: "|", Imp: "=>", Iff: "<=>"}
 
 
 def render_formula(t: hol.Term, consts: MangleTable) -> str:
-    def go(t: hol.Term, env: dict[str, str], ctx: str) -> str:
-        match t:
-            case Var(n, _):
-                try:
-                    return env[n]
-                except KeyError:
-                    raise ValueError(f"open term: free variable {n!r}") from None
-            case Const(n, _):
-                return consts.get(n)
-            case Meta(n, _):
-                raise ValueError(f"cannot emit metavariable {n!r}")
-            case Top():
-                return "$true"
-            case App():
-                head, args = hol.spine(t)
-                parts = [go(s, env, "operand") for s in [head, *args]]
-                return f"({' @ '.join(parts)})"
-            case All() | Ex() | Lam():
-                quant = _QUANT[type(t)]
-                binders = []
-                active = set(env.values())
-                while isinstance(t, (All, Ex, Lam)) and _QUANT[type(t)] == quant:
-                    v = unique_name(_mangle(t.var, "X"), active)
-                    binders.append((t.var, v, t.var_type))
-                    env = {**env, t.var: v}
-                    t = t.body
-                decls = ", ".join(f"{v}: {render_type(ty)}"
-                                  for _, v, ty in binders)
-                s = f"{quant} [{decls}] : {go(t, env, 'body')}"
-                return f"({s})" if ctx == "operand" else s
-            case Eq(l, r, _):
-                s = f"{go(l, env, 'operand')} = {go(r, env, 'operand')}"
-                return s if ctx == "top" else f"({s})"
-            case Not(a):
-                return f"~ {go(a, env, 'operand')}"
-            case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
-                op = _BINOP[type(t)]
-                s = f"{go(l, env, 'operand')} {op} {go(r, env, 'operand')}"
-                return s if ctx == "top" else f"({s})"
-        raise TypeError(f"unexpected term {t!r}")
+    return _render(t, consts, {}, "top")
 
-    return go(t, {}, "top")
+
+def _render(t: hol.Term, consts: MangleTable, env: dict[str, str],
+            ctx: str) -> str:
+    match t:
+        case Var(n, _):
+            try:
+                return env[n]
+            except KeyError:
+                raise ValueError(f"open term: free variable {n!r}") from None
+        case Const(n, _):
+            return consts.get(n)
+        case Meta(n, _):
+            raise ValueError(f"cannot emit metavariable {n!r}")
+        case Top():
+            return "$true"
+        case App():
+            head, args = hol.spine(t)
+            parts = [_render(s, consts, env, "operand") for s in [head, *args]]
+            return f"({' @ '.join(parts)})"
+        case All() | Ex() | Lam():
+            quant = _QUANT[type(t)]
+            binders = []
+            active = set(env.values())
+            while isinstance(t, (All, Ex, Lam)) and _QUANT[type(t)] == quant:
+                v = unique_name(_mangle(t.var, "X"), active)
+                binders.append((t.var, v, t.var_type))
+                env = {**env, t.var: v}
+                t = t.body
+            decls = ", ".join(f"{v}: {render_type(ty)}"
+                              for _, v, ty in binders)
+            s = f"{quant} [{decls}] : {_render(t, consts, env, 'body')}"
+            return f"({s})" if ctx == "operand" else s
+        case Eq(l, r, _):
+            s = (f"{_render(l, consts, env, 'operand')} = "
+                 f"{_render(r, consts, env, 'operand')}")
+            return s if ctx == "top" else f"({s})"
+        case Not(a):
+            return f"~ {_render(a, consts, env, 'operand')}"
+        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+            op = _BINOP[type(t)]
+            s = (f"{_render(l, consts, env, 'operand')} {op} "
+                 f"{_render(r, consts, env, 'operand')}")
+            return s if ctx == "top" else f"({s})"
+    raise TypeError(f"unexpected term {t!r}")
 
 
 # id(source) -> (source, the formula's constants in rendering order,

@@ -183,35 +183,35 @@ def translate_statement(s: MStatement, sig: Signature,
     (``well_formed`` checks a hand-built AST); the result is beta-normal
     and has type ``o`` under the signature's constants.
     """
-    env = TransEnv(sig, {}, max_arity)
+    return _prefix(s, 0, TransEnv(sig, {}, max_arity))
 
-    def go(i: int, env: TransEnv) -> hol.Term:
-        if i == len(s.prefix):
-            return translate_prop(s.body, env)
-        decl = s.prefix[i]
-        match decl:
-            case ObjDecl(name, mt):
-                return _relativize(All, name, mt, env,
-                                   go(i + 1, env.bind(name, IND)))
-            case FunDecl(name, args, result):
-                fty = hol.fn(*([IND] * len(args)), IND)
-                xs, local = [], env
-                for k in range(1, len(args) + 1):
-                    xs.append(Var(hol.fresh_name(f"x{k}", local), IND))
-                    local = local.bind(xs[-1].name, IND)
-                typing = translate_guard(result, env,
-                                         hol.apps(Var(name, fty), *xs))
-                for mt, x in zip(reversed(args), reversed(xs)):
-                    typing = _relativize(All, x.name, mt, env, typing)
-                rest = go(i + 1, env.bind(name, fty))
-                return All(name, fty, Imp(typing, rest))
-            case PredDecl(name, args):
-                pty = hol.fn(*([IND] * len(args)), PROP)
-                rest = go(i + 1, env.bind(name, pty))
-                return All(name, pty, rest)
-        raise TypeError(f"unexpected declaration {decl!r}")
 
-    return go(0, env)
+def _prefix(s: MStatement, i: int, env: TransEnv) -> hol.Term:
+    """The statement from its ``i``-th prefix declaration on."""
+    if i == len(s.prefix):
+        return translate_prop(s.body, env)
+    decl = s.prefix[i]
+    match decl:
+        case ObjDecl(name, mt):
+            return _relativize(All, name, mt, env,
+                               _prefix(s, i + 1, env.bind(name, IND)))
+        case FunDecl(name, args, result):
+            fty = hol.fn(*([IND] * len(args)), IND)
+            xs, local = [], env
+            for k in range(1, len(args) + 1):
+                xs.append(Var(hol.fresh_name(f"x{k}", local), IND))
+                local = local.bind(xs[-1].name, IND)
+            typing = translate_guard(result, env,
+                                     hol.apps(Var(name, fty), *xs))
+            for mt, x in zip(reversed(args), reversed(xs)):
+                typing = _relativize(All, x.name, mt, env, typing)
+            rest = _prefix(s, i + 1, env.bind(name, fty))
+            return All(name, fty, Imp(typing, rest))
+        case PredDecl(name, args):
+            pty = hol.fn(*([IND] * len(args)), PROP)
+            rest = _prefix(s, i + 1, env.bind(name, pty))
+            return All(name, pty, rest)
+    raise TypeError(f"unexpected declaration {decl!r}")
 
 
 __all__ = [

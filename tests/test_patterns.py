@@ -365,6 +365,23 @@ def test_recover_requires_ground_conjecture():
         recover_scheme_instantiation(subset_scheme(), Meta("G", o), 2)
 
 
+def test_recover_normalizes_a_matrix_with_a_redex():
+    """A redex anywhere in the opened matrix, also under a binder that
+    shadows an opened variable, is reduced before matching; the opened
+    matrix that ``strip_outer_quantifiers`` returns keeps it."""
+    A = Var("A", i)
+    redex = App(Lam("z", i, App(p1, Var("z", i))), A)
+    for matrix, conjecture in [
+            (And(All("A", i, redex), App(p1, A)),
+             And(All("y", i, App(p1, Var("y", i))), App(p1, c1))),
+            (And(redex, Top()), And(App(p1, c1), Top()))]:
+        scheme = All("A", i, matrix)
+        found = recover_scheme_instantiation(scheme, conjecture, 1)
+        assert found == SchemeMatch(Substitution({Meta("A", i): c1}), ())
+        opened = strip_outer_quantifiers(scheme, 1)[1]
+        assert opened != hol.beta_normalize(opened)
+
+
 # ----------------------------------------------------------- generated
 
 
