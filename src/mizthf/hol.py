@@ -8,8 +8,10 @@ formers rather than applied constants, mirroring the source grammar they
 are compiled from.
 
 Bound names carry no semantic weight.  ``alpha_eq`` compares binder
-structure by de Bruijn level, ``subst_var`` renames on capture, and
-``beta_normalize`` produces the beta-normal form (no eta).
+structure by de Bruijn level, ``substitute`` (behind ``subst_var``,
+``patterns.subst_metas`` and the scheme opening) replaces variables and
+metavariables at once, renaming on capture, and ``beta_normalize``
+produces the beta-normal form (no eta).
 
 ``children`` and ``map_children`` are the only code outside typing and
 printing that lists the constructor shapes, each as one table keyed on
@@ -19,11 +21,11 @@ differs (variables, metavariables, binders) and hands the rest to that
 pair, so a new constructor needs only those two to change.
 
 A walk holds no reference to itself: its state is passed in as
-arguments or held by a small class, and a nested function handed to
-``map_children`` as its own callback (``subst_var``, and
-``subst_metas`` in ``patterns``) is deleted in a ``finally`` when its
-walk ends.  So a call leaves no reference cycle behind, and reference
-counting frees what it built as soon as it returns.
+arguments or held by a small class, and the one nested function handed
+to ``map_children`` as its own callback, ``substitute``'s, is deleted
+in a ``finally`` when its walk ends.  So a call leaves no reference
+cycle behind, and reference counting frees what it built as soon as it
+returns.
 """
 
 from __future__ import annotations
@@ -348,54 +350,46 @@ def metas(t: Term) -> set[Meta]:
 # ------------------------------------------------------- variable logic
 
 
+_name = attrgetter("name")
+
+
 def free_vars(t: Term) -> frozenset[tuple[str, Type]]:
     """Free variables of ``t`` as (name, type) pairs."""
-    out: set[tuple[str, Type]] = set()
-    _free_vars(t, frozenset(), out)
-    return frozenset(out)
-
-
-def _free_vars(t: Term, bound: frozenset[str],
-               out: set[tuple[str, Type]]) -> None:
-    if isinstance(t, Var):
-        if t.name not in bound:
-            out.add((t.name, t.type))
-    elif isinstance(t, BINDERS):
-        _free_vars(t.body, bound | {t.var}, out)
-    else:
-        for c in children(t):
-            _free_vars(c, bound, out)
+    free, _ = _free_and_constants(t, frozenset(), [], [])
+    return frozenset(map(attrgetter("name", "type"), free))
 
 
 def free_names(t: Term) -> frozenset[str]:
-    return frozenset(n for n, _ in free_vars(t))
+    free, _ = _free_and_constants(t, frozenset(), [], [])
+    return frozenset(map(_name, free))
 
 
 def free_names_and_constants(t: Term) -> tuple[set[str], list[Const]]:
     """``free_names(t)`` and ``constants(t)`` from one walk."""
-    free: set[str] = set()
-    found: list[Const] = []
-    _free_and_constants(t, frozenset(), free, found)
-    return free, found
+    free, found = _free_and_constants(t, frozenset(), [], [])
+    return set(map(_name, free)), found
 
 
-def _free_and_constants(t: Term, bound: frozenset[str], free: set[str],
-                        found: list[Const]) -> None:
+def _free_and_constants(t: Term, bound: frozenset[str], free: list[Var],
+                        found: list[Const]) -> tuple[list[Var], list[Const]]:
+    """``free`` and ``found`` with each free variable and each constant
+    occurrence of ``t`` added in preorder; lists, so no type is hashed."""
     stack = [t]
     while stack:
         t = stack.pop()
         cls = type(t)
         if cls is Var:
             if t.name not in bound:
-                free.add(t.name)
+                free.append(t)
         elif cls is Const:
             found.append(t)
         elif cls in BINDERS:
             # the body's walk ends before the stack's next entry, so
-            # constants still come in preorder
+            # both lists stay in preorder
             _free_and_constants(t.body, bound | {t.var}, free, found)
         else:
             stack += reversed(children(t))
+    return free, found
 
 
 def fresh_name(base: str, avoid: Container[str]) -> str:
@@ -408,27 +402,59 @@ def fresh_name(base: str, avoid: Container[str]) -> str:
     return f"{base}{k}"
 
 
-def subst_var(t: Term, name: str, repl: Term) -> Term:
-    """Capture-avoiding substitution of ``repl`` for free ``name`` in ``t``."""
-    repl_free = free_names(repl)
+def substitute(t: Term,
+               mapping: Mapping[str | Meta, Term]) -> tuple[Term, bool]:
+    """``t`` with each key of ``mapping`` replaced by its value at once
+    (a ``str`` key names a free variable, a ``Meta`` key is that
+    metavariable), and whether ``t`` holds a beta-redex anywhere.
+
+    A binder named like a key drops it for its body.  A binder named
+    like a free variable of a variable key's value is renamed when a
+    variable key is free in its body, avoiding those free variables,
+    the variable keys and the body's free names.  A metavariable key's
+    value, and a value that is a metavariable, are taken as closed.
+    """
+    # the keys are in it too: a binder named like one shadows it instead
+    capture: set[str] = set()
+    for key, value in mapping.items():
+        if type(key) is str:
+            capture.add(key)
+            if type(value) is not Meta:
+                capture |= free_names(value)
+    redex = False
 
     def go(t: Term) -> Term:
-        if isinstance(t, Var):
-            return repl if t.name == name else t
-        if isinstance(t, BINDERS):
-            v, ty, b = t.var, t.var_type, t.body
-            if v == name:
-                return t
-            if v in repl_free and name in free_names(b):
-                # the binder would capture a variable of repl: rename it
-                v2 = fresh_name(v, repl_free | free_names(b) | {name})
-                return type(t)(v2, ty, go(subst_var(b, v, Var(v2, ty))))
+        nonlocal redex
+        cls = type(t)
+        if cls is App:
+            if type(t.fn) is Lam:
+                redex = True
+            return _map_app(t, go)
+        if cls is Var or cls is Meta:
+            return mapping.get(t.name if cls is Var else t, t)
+        if cls in BINDERS:
+            v, ty, body = t.var, t.var_type, t.body
+            if v in mapping:
+                body, inner = substitute(
+                    body, {k: x for k, x in mapping.items() if k != v})
+                redex = redex or inner
+                return t if body is t.body else cls(v, ty, body)
+            if v in capture and not (free := free_names(body)).isdisjoint(
+                    k for k in mapping if type(k) is str):
+                # the binder would capture a variable of a value: rename it
+                v2 = fresh_name(v, capture | free)
+                return cls(v2, ty, go(subst_var(body, v, Var(v2, ty))))
         return map_children(t, go)
 
     try:
-        return go(t)
+        return go(t), redex
     finally:
         del go
+
+
+def subst_var(t: Term, name: str, repl: Term) -> Term:
+    """Capture-avoiding substitution of ``repl`` for free ``name`` in ``t``."""
+    return substitute(t, {name: repl})[0]
 
 
 def beta_normalize(t: Term) -> Term:

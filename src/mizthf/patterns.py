@@ -23,8 +23,9 @@ standing for the level of ``xi``, and nothing is substituted or
 normalized.  Any other spine, and a comparison that fails, substitute
 and normalize the occurrence instead, so a message shows the instance
 as it reads.  A ground side is walked once, to refuse a metavariable
-and to find out whether it needs normalizing; a scheme's matrix is
-normalized once for all its peels.
+and to find out whether it needs normalizing.  A scheme's matrix is
+opened by ``hol.substitute``, the walk behind ``subst_metas`` too, and
+normalized once for all its peels, only if that walk met a redex.
 """
 
 from __future__ import annotations
@@ -81,16 +82,7 @@ class DisagreementPair:
 def subst_metas(t: hol.Term, mapping: Mapping[Meta, hol.Term]) -> hol.Term:
     """Replace metavariables by their assigned terms.  Assignments must
     be closed, so no capture analysis is needed."""
-
-    def go(t: hol.Term) -> hol.Term:
-        if isinstance(t, Meta):
-            return mapping.get(t, t)
-        return hol.map_children(t, go)
-
-    try:
-        return go(t)
-    finally:
-        del go
+    return hol.substitute(t, mapping)[0]
 
 
 class Substitution(Mapping[Meta, hol.Term]):
@@ -337,7 +329,7 @@ def strip_outer_quantifiers(formula: hol.Term,
 def _strip(formula: hol.Term,
            k: int) -> tuple[list[Meta], hol.Term, bool]:
     """``strip_outer_quantifiers``, and whether the matrix holds a
-    beta-redex."""
+    beta-redex (a metavariable heads none)."""
     metas: list[Meta] = []
     opened: dict[str, Meta] = {}
     t = formula
@@ -348,34 +340,7 @@ def _strip(formula: hol.Term,
         metas.append(m)
         opened[t.var] = m
         t = t.body
-    return metas, *_open(t, opened)
-
-
-def _open(t: hol.Term,
-          opened: Mapping[str, Meta]) -> tuple[hol.Term, bool]:
-    """``t`` with each free variable named in ``opened`` replaced by its
-    metavariable (a metavariable is closed, so nothing is captured), and
-    whether ``t`` holds a beta-redex: a metavariable heads none."""
-    redex = False
-
-    def go(t: hol.Term) -> hol.Term:
-        nonlocal redex
-        cls = type(t)
-        if cls is Var:
-            return opened.get(t.name, t)
-        if cls in hol.BINDERS and t.var in opened:
-            inner = {n: m for n, m in opened.items() if n != t.var}
-            body, inner_redex = _open(t.body, inner)
-            redex = redex or inner_redex
-            return t if body is t.body else cls(t.var, t.var_type, body)
-        if cls is App and type(t.fn) is Lam:
-            redex = True
-        return hol.map_children(t, go)
-
-    try:
-        return go(t), redex
-    finally:
-        del go
+    return metas, *hol.substitute(t, opened)
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,52 @@ def random_closed_prop(rng: random.Random, fuel: int = 5) -> hol.Term:
     return random_term(rng, PROP, [], {}, fuel)
 
 
+# Few binder names, so binders shadow each other and the free variables
+# of a substituted value, and ``x1`` meets the renaming's first choice.
+CAPTURE_NAMES = ("x", "y", "z", "x1")
+CAPTURE_TYPES = (IND, PROP, fn(IND, IND), fn(IND, PROP))
+
+
+def random_capture_term(rng: random.Random, ty: hol.Type,
+                        env: dict[str, hol.Type], fuel: int,
+                        metas: tuple[Meta, ...] = ()) -> hol.Term:
+    """A term of type ``ty`` whose free variables come from ``env``;
+    binders take names from ``CAPTURE_NAMES``, redexes are frequent and
+    a leaf may be one of ``metas`` of its type."""
+    if fuel <= 0 or rng.random() < 0.15:
+        hits = [Var(n, t) for n, t in env.items() if t == ty]
+        hits += [m for m in metas if m.type == ty]
+        if hits and rng.random() < 0.8:
+            return rng.choice(hits)
+        return TOP if ty == PROP else Const(f"k_{ty}", ty)
+    options = ["app", "redex"]
+    if isinstance(ty, FnType):
+        options += ["lam", "lam"]
+    if ty == PROP:
+        options += ["not", "binary", "quant", "eq"]
+
+    def sub(t: hol.Type, scope: dict[str, hol.Type] = env) -> hol.Term:
+        return random_capture_term(rng, t, scope, fuel - 1, metas)
+
+    v, vt = rng.choice(CAPTURE_NAMES), rng.choice((IND, IND, PROP))
+    match rng.choice(options):
+        case "app":
+            return App(sub(FnType(vt, ty)), sub(vt))
+        case "redex":
+            return App(Lam(v, vt, sub(ty, {**env, v: vt})), sub(vt))
+        case "lam":
+            return Lam(v, ty.dom, sub(ty.cod, {**env, v: ty.dom}))
+        case "not":
+            return Not(sub(PROP))
+        case "binary":
+            return rng.choice([And, Or, Imp, Iff])(sub(PROP), sub(PROP))
+        case "quant":
+            return rng.choice([All, Ex])(v, vt, sub(PROP, {**env, v: vt}))
+        case "eq":
+            return Eq(sub(vt), sub(vt), vt)
+    raise AssertionError
+
+
 # ------------------------------------------------------- Mizar sources
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -15,9 +16,12 @@ from mizthf.hol import (
     alpha_eq, apps, arg_types, beta_normalize, fn, free_vars, fresh_name,
     lams, result_type, spine, subst_var, type_of,
 )
-from mizthf.patterns import subst_metas
+from mizthf.patterns import strip_outer_quantifiers, subst_metas
 
-from generators import random_closed_prop, random_term, random_type
+from generators import (
+    CAPTURE_NAMES, CAPTURE_TYPES, random_capture_term, random_closed_prop,
+    random_term, random_type,
+)
 
 x, y, z = Var("x", IND), Var("y", IND), Var("z", IND)
 p = Var("p", fn(IND, PROP))
@@ -401,3 +405,98 @@ def test_has_metas_agrees_with_metas():
             assert hol.has_metas(u) == bool(hol.metas(u))
             seen.add(hol.has_metas(u))
     assert seen == {False, True}
+
+
+# -------------------------------------------------------- substitution
+
+
+M, N = Meta("M", IND), Meta("N", IND)
+
+
+def test_substitute_drops_a_shadowed_key_and_keeps_the_other():
+    t = And(All("x", IND, Eq(x, y, IND)), Eq(x, y, IND))
+    assert hol.substitute(t, {"x": M, "y": N}) == (
+        And(All("x", IND, Eq(x, N, IND)), Eq(M, N, IND)), False)
+    scheme = All("x", IND, All("y", IND, t))
+    metas, matrix = strip_outer_quantifiers(scheme, 2)
+    assert metas == [Meta("x", IND), Meta("y", IND)]
+    assert matrix == And(All("x", IND, Eq(x, metas[1], IND)),
+                         Eq(metas[0], metas[1], IND))
+
+
+def test_substitute_renames_under_a_variable_and_a_meta_key():
+    # [y := x, ?M := c] in (λx. f y = ?M): the binder x is renamed
+    t = Lam("x", IND, Eq(App(f, y), M, IND))
+    out, redex = hol.substitute(t, {"y": x, M: c})
+    assert out == Lam("x1", IND, Eq(App(f, x), c, IND)) and not redex
+    # a metavariable key's value is taken as closed: nothing is renamed
+    assert hol.substitute(t, {M: x}) == (Lam("x", IND, Eq(App(f, y), x, IND)),
+                                         False)
+
+
+def test_substitute_reports_a_redex_under_a_binder_shadowing_every_key():
+    redex = App(Lam("z", IND, App(p, Var("z", IND))), x)
+    t = And(All("x", IND, redex), TOP)
+    assert hol.substitute(t, {"x": M}) == (t, True)
+    assert hol.substitute(And(TOP, TOP), {"x": M}) == (And(TOP, TOP), False)
+
+
+def test_subst_var_returns_the_term_itself_when_nothing_changes():
+    rng = random.Random(20)
+    for _ in range(100):
+        t = random_capture_term(rng, PROP, {"x": IND}, 4)
+        assert subst_var(t, "h", c) is t
+    shadowed = All("y", IND, Eq(y, x, IND))
+    assert subst_var(shadowed, "y", c) is shadowed
+
+
+def substitution_cases(seed, n):
+    """``(kind, function, args)`` for ``n`` seeded rounds of
+    ``subst_var``, ``beta_normalize``, ``subst_metas`` and
+    ``strip_outer_quantifiers`` on terms whose binders shadow each other
+    and the free variables of what is substituted."""
+    rng = random.Random(seed)
+    env = {"x": IND, "y": IND, "h": IND, "z": fn(IND, PROP)}
+    P = Meta("P", fn(IND, PROP))
+    cases = []
+    for _ in range(n):
+        name = rng.choice(["h", "h", "x", "y"])
+        t = random_capture_term(rng, PROP, env, 5)
+        repl = rng.choice([Var(v, ty) for v, ty in env.items()
+                           if ty == env[name]] + [
+            random_capture_term(rng, env[name], env, 2)])
+        cases += [("subst_var", subst_var, (t, name, repl)),
+                  ("beta", beta_normalize, (App(Lam(name, env[name], t),
+                                                repl),))]
+        opened = random_capture_term(rng, PROP, env, 5, (M, P))
+        values = {m: random_capture_term(rng, m.type, rng.choice([{}, env]),
+                                         2) for m in (M, P)}
+        cases.append(("subst_metas", subst_metas, (opened, values)))
+        binders = [(rng.choice(CAPTURE_NAMES), rng.choice(CAPTURE_TYPES))
+                   for _ in range(rng.randint(0, 3))]
+        body = random_capture_term(rng, PROP, {**env, **dict(binders)}, 4)
+        cases.append(("strip", strip_outer_quantifiers,
+                      (hol.foralls(binders, body),
+                       rng.randint(0, len(binders)))))
+    return cases
+
+
+def _shown(got):
+    if isinstance(got, tuple):
+        metas, matrix = got
+        return f"{[(m.name, str(m.type)) for m in metas]} {matrix}"
+    return hol.show_term(got)
+
+
+# SHA-256 of the ``show_term`` lines of ``substitution_cases(2020, 500)``,
+# recorded with three separate substitution walks, so bound-name choices
+# stay byte for byte.
+SUBSTITUTION_DIGEST = (
+    "b3bf7c8a5eb0c2ff61561c8b4aab5cdb0a94070db387581b62a31e23919767ac")
+
+
+def test_substitution_golden():
+    lines = [f"{kind} {_shown(function(*args))}"
+             for kind, function, args in substitution_cases(2020, 500)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SUBSTITUTION_DIGEST

@@ -15,8 +15,8 @@ from mizthf import (
 from mizthf import hol, thf, thfcheck
 from mizthf.declarations import Declaration, member
 from mizthf.hol import (
-    All, And, App, Const, Eq, Ex, IllTyped, Imp, IND, Lam, Not, PROP, TOP,
-    Var, apps, fn,
+    All, And, App, Const, Eq, Ex, Iff, IllTyped, Imp, IND, Lam, Not, Or,
+    PROP, TOP, Var, apps, fn,
 )
 from mizthf.thf import (
     CACHE_SIZE, MangleTable, Problem, UndeclaredConstant, render_type,
@@ -220,6 +220,33 @@ def test_emission_merges_binder_runs():
                                                  Var("y", i), i))))
     text = emit_thf(assemble_problem(conj, [], Signature()))
     assert "! [X: $i, Y: $i] : ? [Z: $i] : (X = Y)" in text
+
+
+_A, _B = Const("a", o), Const("b", o)
+_C, _D = Const("c", i), Const("d", i)
+_F, _P, _X = Const("f", fn(i, i, o)), Const("p", fn(i, o)), Var("x", i)
+
+
+@pytest.mark.parametrize("term, text", [
+    (Not(_A), "~ a"),
+    (And(_A, _B), "a & b"),
+    (Or(_A, _B), "a | b"),
+    (Imp(_A, _B), "a => b"),
+    (Iff(_A, _B), "a <=> b"),
+    (Eq(_C, _D, i), "c = d"),
+    (apps(_F, _C, _D), "(f @ c @ d)"),
+    (All("x", i, App(_P, _X)), "! [X: $i] : (p @ X)"),
+    (Ex("x", i, App(_P, _X)), "? [X: $i] : (p @ X)"),
+    (Lam("x", i, apps(_F, _X, _C)), "^ [X: $i] : (f @ X @ c)"),
+    (TOP, "$true"),
+    (Not(Imp(_A, _B)), "~ (a => b)"),
+    (Imp(Not(_A), And(_B, _A)), "~ a => (b & a)"),
+])
+def test_render_formula_text_per_constructor(term, text):
+    """Each constructor's exact THF text, with operands that show their
+    order; the checker alone passes an emitter that drops a ``~`` or
+    swaps the sides of ``=>``."""
+    assert thf.render_formula(term, MangleTable()) == text
 
 
 def test_emission_is_deterministic(corpus_sig, corpus_files):
