@@ -69,6 +69,22 @@ def _count(text: str) -> int:
     return int(text)
 
 
+# the longest wait ``poll`` accepts, 2**31 - 1 ms, in whole seconds
+MAX_TIMEOUT = 2_147_483
+
+
+def _seconds(text: str) -> float:
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = 0.0
+    if not 0 < seconds <= MAX_TIMEOUT:  # false for nan too
+        raise argparse.ArgumentTypeError(
+            f"expected seconds above 0 and at most {MAX_TIMEOUT}, "
+            f"got {text!r}")
+    return seconds
+
+
 def _axiom_name(path: str, statement: MStatement, taken: set[str]) -> str:
     base = statement.name or re.sub(r"\W", "_", Path(path).stem) or "ax"
     return thf.unique_name(base, taken)
@@ -238,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axiom", action="append", metavar="FILE")
     p.add_argument("--prover", required=True,
                    help="prover executable accepting a THF file")
-    p.add_argument("--timeout", type=float, default=30.0, metavar="S")
+    p.add_argument("--timeout", type=_seconds, default=30.0, metavar="S")
     p.set_defaults(run=cmd_prove)
     return parser
 

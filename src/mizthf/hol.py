@@ -8,10 +8,10 @@ formers rather than applied constants, mirroring the source grammar they
 are compiled from.
 
 Bound names carry no semantic weight.  ``alpha_eq`` compares binder
-structure by de Bruijn level, ``substitute`` (behind ``subst_var``,
-``patterns.subst_metas`` and the scheme opening) replaces variables and
-metavariables at once, renaming on capture, and ``beta_normalize``
-produces the beta-normal form (no eta).
+structure by de Bruijn level, ``substitute`` (behind ``subst_var`` and
+``patterns.subst_metas``) replaces variables and metavariables at once,
+renaming on capture, and ``beta_normalize`` gives the beta-normal form
+(no eta) of a term, or of its instance under closed values in one walk.
 
 ``children`` and ``map_children`` are the only code outside typing and
 printing that lists the constructor shapes, each as one table keyed on
@@ -21,11 +21,10 @@ differs (variables, metavariables, binders) and hands the rest to that
 pair, so a new constructor needs only those two to change.
 
 A walk holds no reference to itself: its state is passed in as
-arguments or held by a small class, and the one nested function handed
-to ``map_children`` as its own callback, ``substitute``'s, is deleted
-in a ``finally`` when its walk ends.  So a call leaves no reference
-cycle behind, and reference counting frees what it built as soon as it
-returns.
+arguments or held by a small class, and ``substitute``'s ``go``, the
+one nested function handed to ``map_children`` as its own callback, is
+deleted in a ``finally``.  So a call leaves no reference cycle behind,
+and reference counting frees what it built as soon as it returns.
 """
 
 from __future__ import annotations
@@ -129,7 +128,7 @@ class Meta(Term):
 
     Lives in a namespace disjoint from ``Var``/``Const``: binders never
     bind it and ``subst_var`` never touches it.  Only the pattern-matching
-    engine instantiates these, via ``patterns.subst_metas``.
+    engine instantiates these, by ``substitute`` or ``beta_normalize``.
     """
 
     name: str
@@ -402,11 +401,10 @@ def fresh_name(base: str, avoid: Container[str]) -> str:
     return f"{base}{k}"
 
 
-def substitute(t: Term,
-               mapping: Mapping[str | Meta, Term]) -> tuple[Term, bool]:
-    """``t`` with each key of ``mapping`` replaced by its value at once
-    (a ``str`` key names a free variable, a ``Meta`` key is that
-    metavariable), and whether ``t`` holds a beta-redex anywhere.
+def substitute(t: Term, mapping: Mapping[str | Meta, Term]) -> Term:
+    """``t`` with each key of ``mapping`` replaced by its value at once:
+    a ``str`` key names a free variable, a ``Meta`` key is that
+    metavariable.  ``t`` itself when nothing is replaced.
 
     A binder named like a key drops it for its body.  A binder named
     like a free variable of a variable key's value is renamed when a
@@ -414,6 +412,8 @@ def substitute(t: Term,
     the variable keys and the body's free names.  A metavariable key's
     value, and a value that is a metavariable, are taken as closed.
     """
+    if not mapping:
+        return t
     # the keys are in it too: a binder named like one shadows it instead
     capture: set[str] = set()
     for key, value in mapping.items():
@@ -421,23 +421,16 @@ def substitute(t: Term,
             capture.add(key)
             if type(value) is not Meta:
                 capture |= free_names(value)
-    redex = False
 
     def go(t: Term) -> Term:
-        nonlocal redex
         cls = type(t)
-        if cls is App:
-            if type(t.fn) is Lam:
-                redex = True
-            return _map_app(t, go)
         if cls is Var or cls is Meta:
             return mapping.get(t.name if cls is Var else t, t)
         if cls in BINDERS:
             v, ty, body = t.var, t.var_type, t.body
             if v in mapping:
-                body, inner = substitute(
+                body = substitute(
                     body, {k: x for k, x in mapping.items() if k != v})
-                redex = redex or inner
                 return t if body is t.body else cls(v, ty, body)
             if v in capture and not (free := free_names(body)).isdisjoint(
                     k for k in mapping if type(k) is str):
@@ -447,26 +440,39 @@ def substitute(t: Term,
         return map_children(t, go)
 
     try:
-        return go(t), redex
+        return go(t)
     finally:
         del go
 
 
 def subst_var(t: Term, name: str, repl: Term) -> Term:
     """Capture-avoiding substitution of ``repl`` for free ``name`` in ``t``."""
-    return substitute(t, {name: repl})[0]
+    return substitute(t, {name: repl})
 
 
-def beta_normalize(t: Term) -> Term:
-    """The beta-normal form of ``t`` (normal-order; simple typing makes
-    this total)."""
-    if isinstance(t, App):
-        nf = beta_normalize(t.fn)
+def beta_normalize(t: Term, closed: Mapping[str | Meta, Term] = {}) -> Term:
+    """The beta-normal form of ``substitute(t, closed)``, in one walk
+    that reduces each redex it meets with the argument as ``substitute``
+    leaves it (normal-order; simple typing makes this total).  The values
+    of ``closed`` must be closed, so no binder is renamed for them."""
+    cls = type(t)
+    if cls is App:
+        nf = beta_normalize(t.fn, closed)
         if isinstance(nf, Lam):
-            return beta_normalize(subst_var(nf.body, nf.var, t.arg))
-        arg = beta_normalize(t.arg)
+            arg = substitute(t.arg, closed)
+            return beta_normalize(subst_var(nf.body, nf.var, arg))
+        arg = beta_normalize(t.arg, closed)
         return t if nf is t.fn and arg is t.arg else App(nf, arg)
-    return map_children(t, beta_normalize)
+    if not closed:
+        return map_children(t, beta_normalize)
+    if cls is Var or cls is Meta:
+        value = closed.get(t.name if cls is Var else t)
+        return t if value is None else beta_normalize(value)
+    # no closure over a local: Python 3.11 makes a cell on every call
+    if cls in BINDERS and t.var in closed:
+        closed = dict(closed)
+        del closed[t.var]
+    return map_children(t, lambda s, m=closed: beta_normalize(s, m))
 
 
 def alpha_eq(s: Term, t: Term) -> bool:

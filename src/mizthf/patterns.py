@@ -20,12 +20,12 @@ A solved metavariable met again is compared by level too.  Its solution
 ``\\y1 .. yn. s`` applied to bound variables ``x1 .. xn`` only renames
 (Miller's pattern fragment), so ``s`` is compared with each ``yi``
 standing for the level of ``xi``, and nothing is substituted or
-normalized.  Any other spine, and a comparison that fails, substitute
-and normalize the occurrence instead, so a message shows the instance
-as it reads.  A ground side is walked once, to refuse a metavariable
-and to find out whether it needs normalizing.  A scheme's matrix is
-opened by ``hol.substitute``, the walk behind ``subst_metas`` too, and
-normalized once for all its peels, only if that walk met a redex.
+normalized.  Any other spine, and a comparison that fails, instantiate
+the occurrence instead, so a message shows the instance as it reads.
+A ground side is walked once, to refuse a metavariable and to find out
+whether it needs normalizing.  An instance, and a scheme's matrix with
+its universals opened, is normalized in the walk that substitutes it:
+``hol.beta_normalize`` with the closed values as its mapping.
 """
 
 from __future__ import annotations
@@ -80,9 +80,8 @@ class DisagreementPair:
 
 
 def subst_metas(t: hol.Term, mapping: Mapping[Meta, hol.Term]) -> hol.Term:
-    """Replace metavariables by their assigned terms.  Assignments must
-    be closed, so no capture analysis is needed."""
-    return hol.substitute(t, mapping)[0]
+    """``t`` with its metavariables replaced by their closed assignments."""
+    return hol.substitute(t, mapping)
 
 
 class Substitution(Mapping[Meta, hol.Term]):
@@ -109,7 +108,7 @@ class Substitution(Mapping[Meta, hol.Term]):
         return sub
 
     def apply(self, t: hol.Term) -> hol.Term:
-        return hol.beta_normalize(subst_metas(t, self._map))
+        return hol.beta_normalize(t, self._map)
 
     def __getitem__(self, m: Meta) -> hol.Term:
         return self._map[m]
@@ -182,12 +181,15 @@ def _match(pairs: Iterable[tuple], normal: bool = False) -> Substitution:
     for context, lhs, rhs in pairs:
         matcher.levels[:] = context
         names = {name: level for level, (name, _) in enumerate(context)}
-        if matcher.sigma:
-            lhs = hol.beta_normalize(subst_metas(lhs, matcher.sigma))
-        elif not normal:
-            lhs = hol.beta_normalize(lhs)
+        if matcher.sigma or not normal:
+            lhs = hol.beta_normalize(lhs, matcher.sigma)
         matcher.solve(lhs, rhs, names, names)
     return Substitution._checked(matcher.sigma)
+
+
+def _instance(t: hol.Term, sigma: Mapping[Meta, hol.Term]) -> hol.Term:
+    """The solver's instance step: the normal form of ``t`` under ``sigma``."""
+    return hol.beta_normalize(t, sigma)
 
 
 class _Matcher:
@@ -277,8 +279,7 @@ class _Matcher:
                     return
                 except MatchError:
                     del self.levels[depth:]
-        self.solve(hol.beta_normalize(subst_metas(lhs, self.sigma)), rhs,
-                   lv, rv)
+        self.solve(_instance(lhs, self.sigma), rhs, lv, rv)
 
     def solve_flex(self, meta: Meta, args: list[hol.Term], rhs: hol.Term,
                    lv: dict[str, int], rv: dict[str, int]) -> None:
@@ -322,25 +323,22 @@ def strip_outer_quantifiers(formula: hol.Term,
     """Replace the ``k`` outermost universals by fresh metavariables
     named after the binders.  Returns the metavariables in binding
     order together with the opened matrix."""
-    metas, matrix, _ = _strip(formula, k)
-    return metas, matrix
+    opened, matrix = _outer_universals(formula, k)
+    return [m for _, m in opened], hol.substitute(matrix, dict(opened))
 
 
-def _strip(formula: hol.Term,
-           k: int) -> tuple[list[Meta], hol.Term, bool]:
-    """``strip_outer_quantifiers``, and whether the matrix holds a
-    beta-redex (a metavariable heads none)."""
-    metas: list[Meta] = []
-    opened: dict[str, Meta] = {}
-    t = formula
+def _outer_universals(formula: hol.Term,
+                      k: int) -> tuple[list[tuple[str, Meta]], hol.Term]:
+    """The ``k`` outermost universals' names, each with its fresh
+    metavariable, in binding order, and the matrix below them."""
+    opened: list[tuple[str, Meta]] = []
     for i in range(k):
-        if not isinstance(t, All):
+        if not isinstance(formula, All):
             raise ShapeMismatch(f"wanted {k} outer universals, found {i}")
-        m = Meta(hol.fresh_name(t.var, {m.name for m in metas}), t.var_type)
-        metas.append(m)
-        opened[t.var] = m
-        t = t.body
-    return metas, *hol.substitute(t, opened)
+        taken = {m.name for _, m in opened}
+        name, ty, formula = formula.var, formula.var_type, formula.body
+        opened.append((name, Meta(hol.fresh_name(name, taken), ty)))
+    return opened, formula
 
 
 @dataclass(frozen=True)
@@ -359,23 +357,19 @@ def recover_scheme_instantiation(scheme: hol.Term, conjecture: hol.Term,
     hypotheses are peeled off one implication at a time and returned as
     side conditions."""
     conjecture = _ground(conjecture, "conjecture must be ground")
-    _, opened, redex = _strip(scheme, k)
-    # Normalized once, and only if the open walk met a redex: the suffix
-    # each peel leaves is the right side of a normal implication, so it
-    # is normal too.  Peeling follows the opened matrix, whose
-    # hypotheses become the side conditions.
-    matrix = hol.beta_normalize(opened) if redex else opened
+    opened, matrix = _outer_universals(scheme, k)
+    # opened and normalized once: every suffix a peel leaves is normal too
+    matrix = hol.beta_normalize(matrix, dict(opened))
     hypotheses: list[hol.Term] = []
     while True:
         try:
             sigma = _match([((), matrix, conjecture)], normal=True)
             break
         except NoMatch as e:
-            if isinstance(opened, Imp):
-                hypotheses.append(opened.lhs)
-                opened, matrix = opened.rhs, matrix.rhs
-                continue
-            raise ShapeMismatch(
-                "conjecture fits no suffix of the scheme matrix") from e
+            if not isinstance(matrix, Imp):
+                raise ShapeMismatch(
+                    "conjecture fits no suffix of the scheme matrix") from e
+            hypotheses.append(matrix.lhs)
+            matrix = matrix.rhs
     side = tuple(sigma.apply(h) for h in hypotheses)
     return SchemeMatch(sigma, side)

@@ -272,6 +272,9 @@ def emit_thf(problem: Problem) -> str:
     def formula_name(source: str) -> str:
         return unique_name(_mangle(source, "c"), names)
 
+    # the conjecture claims its name first, so no other formula takes it
+    cname, conj = problem.conjecture
+    goal = formula_name(cname)
     lines: list[str] = []
     for decl in problem.declarations:
         fname = formula_name(f"{decl.name}_tp")
@@ -291,9 +294,7 @@ def emit_thf(problem: Problem) -> str:
         fname = formula_name(ax_name)
         lines.append(
             f"thf({fname}, axiom, {render_formula(ax, consts)}).")
-    cname, conj = problem.conjecture
-    fname = formula_name(cname)
     lines.append(
-        f"thf({fname}, conjecture, {render_formula(conj, consts)}).")
+        f"thf({goal}, conjecture, {render_formula(conj, consts)}).")
     return "\n".join(lines) + "\n"
 

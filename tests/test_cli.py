@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from mizthf import check_thf, thf
-from mizthf.cli import main
+from mizthf.cli import MAX_TIMEOUT, main
 from mizthf.mizar import MAX_SIG_ARITY
 from mizthf.thfcheck import MAX_DEPTH
 
@@ -68,6 +68,21 @@ def test_emit_out_file_and_axioms(tmp_path, sig, corpus_files, capsys):
     assert check_thf(text) == []
     assert "thf(eq_triv, axiom," in text
     assert "thf(eq_triv_2, axiom," in text
+
+
+def test_the_conjecture_keeps_its_name_against_an_axiom_named_goal(
+        tmp_path, sig, corpus_files, capsys):
+    conj = next(p for p in corpus_files if p.stem == "eq_triv")
+    stem, named = tmp_path / "goal.mst", tmp_path / "other.mst"
+    stem.write_text("statement : c1 = c1\n")
+    named.write_text("scheme goal { A() -> set } : A() = A()\n")
+    assert main(["emit", str(conj), "--sig", sig, "--axiom", str(stem),
+                 "--axiom", str(named)]) == 0
+    out = capsys.readouterr().out
+    assert check_thf(out) == []
+    assert out.endswith("thf(goal_2, axiom, c1 = c1).\n"
+                        "thf(goal_2_2, axiom, ! [A: $i] : (A = A)).\n"
+                        "thf(goal, conjecture, c1 = c1).\n")
 
 
 def test_emit_rejects_overdeep_comprehension(tmp_path, sig, capsys):
@@ -349,6 +364,31 @@ def test_prove_timeout_and_missing_prover(tmp_path, sig, corpus_files,
     assert not problem.exists()
     assert main(["prove", str(conj), "--sig", sig,
                  "--prover", str(tmp_path / "absent")]) == 2
+
+
+@pytest.mark.parametrize("seconds", [
+    "nan", "inf", "1e400", "-1", "0", "-0", "2147484", "soon"])
+def test_prove_timeout_must_be_a_wait_poll_takes(tmp_path, sig, corpus_files,
+                                                 capsys, seconds):
+    conj = next(p for p in corpus_files if p.stem == "eq_triv")
+    seen = tmp_path / "seen"
+    prover = fake_prover(tmp_path, "recording", f'echo "$1" >> {seen}')
+    with pytest.raises(SystemExit) as exc:
+        main(["prove", str(conj), "--sig", sig, "--prover", prover,
+              f"--timeout={seconds}"])
+    assert exc.value.code == 2
+    assert (f"expected seconds above 0 and at most {MAX_TIMEOUT}, "
+            f"got {seconds!r}") in capsys.readouterr().err
+    assert not seen.exists()
+
+
+def test_prove_takes_the_longest_timeout(tmp_path, sig, corpus_files,
+                                         capsys):
+    conj = next(p for p in corpus_files if p.stem == "eq_triv")
+    yes = fake_prover(tmp_path, "yes", 'echo "% SZS status Theorem"')
+    assert main(["prove", str(conj), "--sig", sig, "--prover", yes,
+                 "--timeout", str(MAX_TIMEOUT)]) == 0
+    assert capsys.readouterr().out == "SZS status Theorem\n"
 
 
 def _alive(pid: int) -> bool:

@@ -416,7 +416,7 @@ M, N = Meta("M", IND), Meta("N", IND)
 def test_substitute_drops_a_shadowed_key_and_keeps_the_other():
     t = And(All("x", IND, Eq(x, y, IND)), Eq(x, y, IND))
     assert hol.substitute(t, {"x": M, "y": N}) == (
-        And(All("x", IND, Eq(x, N, IND)), Eq(M, N, IND)), False)
+        And(All("x", IND, Eq(x, N, IND)), Eq(M, N, IND)))
     scheme = All("x", IND, All("y", IND, t))
     metas, matrix = strip_outer_quantifiers(scheme, 2)
     assert metas == [Meta("x", IND), Meta("y", IND)]
@@ -427,18 +427,17 @@ def test_substitute_drops_a_shadowed_key_and_keeps_the_other():
 def test_substitute_renames_under_a_variable_and_a_meta_key():
     # [y := x, ?M := c] in (λx. f y = ?M): the binder x is renamed
     t = Lam("x", IND, Eq(App(f, y), M, IND))
-    out, redex = hol.substitute(t, {"y": x, M: c})
-    assert out == Lam("x1", IND, Eq(App(f, x), c, IND)) and not redex
+    out = hol.substitute(t, {"y": x, M: c})
+    assert out == Lam("x1", IND, Eq(App(f, x), c, IND))
     # a metavariable key's value is taken as closed: nothing is renamed
-    assert hol.substitute(t, {M: x}) == (Lam("x", IND, Eq(App(f, y), x, IND)),
-                                         False)
+    assert hol.substitute(t, {M: x}) == Lam("x", IND, Eq(App(f, y), x, IND))
 
 
-def test_substitute_reports_a_redex_under_a_binder_shadowing_every_key():
+def test_substitute_returns_a_term_under_a_binder_shadowing_every_key():
     redex = App(Lam("z", IND, App(p, Var("z", IND))), x)
     t = And(All("x", IND, redex), TOP)
-    assert hol.substitute(t, {"x": M}) == (t, True)
-    assert hol.substitute(And(TOP, TOP), {"x": M}) == (And(TOP, TOP), False)
+    assert hol.substitute(t, {"x": M}) is t
+    assert hol.substitute(t, {}) is t
 
 
 def test_subst_var_returns_the_term_itself_when_nothing_changes():
@@ -448,6 +447,41 @@ def test_subst_var_returns_the_term_itself_when_nothing_changes():
         assert subst_var(t, "h", c) is t
     shadowed = All("y", IND, Eq(y, x, IND))
     assert subst_var(shadowed, "y", c) is shadowed
+
+
+def test_subst_var_leaves_a_shadowing_binder_unwalked(monkeypatch):
+    t = All("x", IND, And(random_closed_prop(random.Random(1), 6),
+                          Eq(x, c, IND)))
+    walked = []
+    map_children = hol.map_children
+    monkeypatch.setattr(hol, "map_children", lambda s, g: (
+        walked.append(s) or map_children(s, g)))
+    assert subst_var(t, "x", c) is t
+    assert walked == []
+
+
+def test_beta_normalize_with_a_mapping_is_the_normal_form_of_its_instance():
+    """One walk gives what substituting and then normalizing gives, bound
+    names included, for closed values under ``str`` and ``Meta`` keys."""
+    rng = random.Random(2022)
+    env = {"x": IND, "y": IND, "h": IND, "z": fn(IND, PROP)}
+    P = Meta("P", fn(IND, PROP))
+    keys = [*env, M, P]
+    for _ in range(20_000):
+        t = random_capture_term(rng, PROP, env, 4, (M, P))
+        mapping = {}
+        for key in rng.sample(keys, rng.randint(1, 3)):
+            ty = env[key] if type(key) is str else key.type
+            mapping[key] = (N if ty == IND and rng.random() < 0.2 else
+                            random_capture_term(rng, ty, {}, 2))
+        want = beta_normalize(hol.substitute(t, mapping))
+        got = beta_normalize(t, mapping)
+        assert got == want and hol.show_term(got) == hol.show_term(want)
+    # a redex takes its argument unnormalized, free ``x`` and all, so the
+    # binder ``x`` is renamed
+    v = Var("v", IND)
+    t = App(Lam("v", IND, Lam("x", IND, v)), App(Lam("w", IND, y), x))
+    assert beta_normalize(t, {"y": c}) == Lam("x1", IND, c)
 
 
 def substitution_cases(seed, n):

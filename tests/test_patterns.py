@@ -303,7 +303,7 @@ def test_recover_side_conditions_are_instantiated():
 def test_solved_heads_are_compared_without_substituting(monkeypatch):
     """A solved metavariable applied to bound variables, one per binder
     of its solution, is compared by level; only a mismatch, to word its
-    message, or any other spine substitutes."""
+    message, or any other spine instantiates it."""
     P, F = Meta("P", fn(i, i, o)), Meta("F", fn(i, i))
     q = Const("q", fn(i, i, o))
     x, y = Var("x", i), Var("y", i)
@@ -312,8 +312,9 @@ def test_solved_heads_are_compared_without_substituting(monkeypatch):
         apps(q, Var("a", i), Var("b", i)), apps(q, Var("b", i),
                                                 Var("a", i)))))
     substituted = []
-    monkeypatch.setattr(patterns, "subst_metas", lambda t, m: (
-        substituted.append(t) or subst_metas(t, m)))
+    instance = patterns._instance
+    monkeypatch.setattr(patterns, "_instance", lambda t, m: (
+        substituted.append(t) or instance(t, m)))
     sigma = pattern_match([pair(lhs, rhs)])
     assert substituted == []
     assert hol.alpha_eq(sigma[P], lams([("s", i), ("t", i)], apps(
@@ -380,6 +381,17 @@ def test_recover_normalizes_a_matrix_with_a_redex():
         assert found == SchemeMatch(Substitution({Meta("A", i): c1}), ())
         opened = strip_outer_quantifiers(scheme, 1)[1]
         assert opened != hol.beta_normalize(opened)
+
+
+def test_recover_peels_the_normal_form_of_the_matrix():
+    """A matrix that is a redex reducing to an implication is peeled like
+    that implication."""
+    h = Var("h", o)
+    scheme = All("A", i, App(Lam("h", o, Imp(App(p1, c2), h)),
+                             App(p1, Var("A", i))))
+    found = recover_scheme_instantiation(scheme, App(p1, c1), 1)
+    assert found == SchemeMatch(Substitution({Meta("A", i): c1}),
+                                (App(p1, c2),))
 
 
 # ----------------------------------------------------------- generated
