@@ -130,8 +130,7 @@ def _assemble(args: argparse.Namespace) -> thf.Problem:
         statement, term = _translate_file(path, sig, args.max_arity)
         axioms.append((_axiom_name(path, statement, taken), term))
     _, conjecture = _translate_file(args.file, sig, args.max_arity)
-    name = Path(args.file).stem
-    return thf.assemble_problem(conjecture, axioms, sig, name=name)
+    return thf.assemble_problem(conjecture, axioms, sig)
 
 
 def _checked_text(problem: thf.Problem) -> str | None:

@@ -11,7 +11,14 @@ Bound names carry no semantic weight.  ``alpha_eq`` compares binder
 structure by de Bruijn level, ``substitute`` (behind ``subst_var`` and
 ``patterns.subst_metas``) replaces variables and metavariables at once,
 renaming on capture, and ``beta_normalize`` gives the beta-normal form
-(no eta) of a term, or of its instance under closed values in one walk.
+(no eta) of a term; that of an instance under closed values comes in
+one walk, the private ``_normal_instance``, from
+``patterns.Substitution.apply``.
+
+``_free_and_constants`` is the one walk that collects a term's free
+variables and constants, in preorder.  Typing contexts are claimed in
+that order, so a conflict is reported at the first occurrence the walk
+meets, whatever the hash seed.
 
 ``children`` and ``map_children`` are the only code outside typing and
 printing that lists the constructor shapes, each as one table keyed on
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Container, Iterator, Mapping, NoReturn
+from typing import Callable, Container, Iterable, Iterator, Mapping, NoReturn
 
 
 # ---------------------------------------------------------------- types
@@ -128,7 +135,7 @@ class Meta(Term):
 
     Lives in a namespace disjoint from ``Var``/``Const``: binders never
     bind it and ``subst_var`` never touches it.  Only the pattern-matching
-    engine instantiates these, by ``substitute`` or ``beta_normalize``.
+    engine instantiates these, by ``substitute`` or ``_normal_instance``.
     """
 
     name: str
@@ -322,18 +329,6 @@ def subterms(t: Term) -> Iterator[Term]:
         stack.extend(reversed(children(t)))
 
 
-def constants(t: Term) -> list[Const]:
-    """Every constant occurrence, preorder; a constant may repeat (hashing
-    each one's type costs more than meeting it twice)."""
-    out, stack = [], [t]
-    while stack:
-        t = stack.pop()
-        if type(t) is Const:
-            out.append(t)
-        stack += reversed(children(t))
-    return out
-
-
 def has_metas(t: Term) -> bool:
     """Whether a metavariable occurs in ``t``; stops at the first."""
     stack = [t]
@@ -349,9 +344,6 @@ def metas(t: Term) -> set[Meta]:
 # ------------------------------------------------------- variable logic
 
 
-_name = attrgetter("name")
-
-
 def free_vars(t: Term) -> frozenset[tuple[str, Type]]:
     """Free variables of ``t`` as (name, type) pairs."""
     free, _ = _free_and_constants(t, frozenset(), [], [])
@@ -360,13 +352,13 @@ def free_vars(t: Term) -> frozenset[tuple[str, Type]]:
 
 def free_names(t: Term) -> frozenset[str]:
     free, _ = _free_and_constants(t, frozenset(), [], [])
-    return frozenset(map(_name, free))
+    return frozenset(map(attrgetter("name"), free))
 
 
-def free_names_and_constants(t: Term) -> tuple[set[str], list[Const]]:
-    """``free_names(t)`` and ``constants(t)`` from one walk."""
-    free, found = _free_and_constants(t, frozenset(), [], [])
-    return set(map(_name, free)), found
+def constants(t: Term) -> list[Const]:
+    """Every constant occurrence, preorder; a constant may repeat (hashing
+    each one's type costs more than meeting it twice)."""
+    return _free_and_constants(t, frozenset(), [], [])[1]
 
 
 def _free_and_constants(t: Term, bound: frozenset[str], free: list[Var],
@@ -450,29 +442,35 @@ def subst_var(t: Term, name: str, repl: Term) -> Term:
     return substitute(t, {name: repl})
 
 
-def beta_normalize(t: Term, closed: Mapping[str | Meta, Term] = {}) -> Term:
+def beta_normalize(t: Term) -> Term:
+    """The beta-normal form of ``t``, normal-order (total on typed terms)."""
+    return _normal_instance(t)
+
+
+def _normal_instance(t: Term,
+                     closed: Mapping[str | Meta, Term] = {}) -> Term:
     """The beta-normal form of ``substitute(t, closed)``, in one walk
     that reduces each redex it meets with the argument as ``substitute``
-    leaves it (normal-order; simple typing makes this total).  The values
-    of ``closed`` must be closed, so no binder is renamed for them."""
+    leaves it.  The values of ``closed`` must be closed (as
+    ``patterns.Substitution`` checks), so no binder is renamed for them."""
     cls = type(t)
     if cls is App:
-        nf = beta_normalize(t.fn, closed)
+        nf = _normal_instance(t.fn, closed)
         if isinstance(nf, Lam):
             arg = substitute(t.arg, closed)
-            return beta_normalize(subst_var(nf.body, nf.var, arg))
-        arg = beta_normalize(t.arg, closed)
+            return _normal_instance(subst_var(nf.body, nf.var, arg))
+        arg = _normal_instance(t.arg, closed)
         return t if nf is t.fn and arg is t.arg else App(nf, arg)
     if not closed:
-        return map_children(t, beta_normalize)
+        return map_children(t, _normal_instance)
     if cls is Var or cls is Meta:
         value = closed.get(t.name if cls is Var else t)
-        return t if value is None else beta_normalize(value)
+        return t if value is None else _normal_instance(value)
     # no closure over a local: Python 3.11 makes a cell on every call
     if cls in BINDERS and t.var in closed:
         closed = dict(closed)
         del closed[t.var]
-    return map_children(t, lambda s, m=closed: beta_normalize(s, m))
+    return map_children(t, lambda s, m=closed: _normal_instance(s, m))
 
 
 def alpha_eq(s: Term, t: Term) -> bool:
@@ -610,33 +608,26 @@ def _type_of(t: Term, ctx: TypingContext, bound: dict[str, Type],
     _foreign(t)
 
 
-def collect_constants(ctx: dict[str, Type], t: Term) -> None:
-    """Add every constant of ``t`` to ``ctx`` at its annotated type, in
-    name order.  An annotation that disagrees with ``ctx`` raises
-    ``IllTyped``."""
-    claim_constants(ctx, constants(t))
-
-
-def claim_constants(ctx: dict[str, Type], found: list[Const]) -> None:
-    """``collect_constants`` for the occurrences ``found``, in the order
-    a walk met them."""
-    for c in sorted(found, key=lambda c: c.name):
-        if ctx.get(c.name, c.type) != c.type:
-            raise IllTyped(c.name, ctx[c.name], c.type)
-        ctx[c.name] = c.type
+def claim_constants(ctx: dict[str, Type],
+                    found: Iterable[Const | Var]) -> None:
+    """Add each occurrence in ``found`` to ``ctx`` at its annotated type,
+    in the order given, which is the order a walk met them.  The first
+    annotation that disagrees with ``ctx`` raises ``IllTyped``."""
+    for c in found:
+        if (ty := ctx.setdefault(c.name, c.type)) != c.type:
+            raise IllTyped(c.name, ty, c.type)
 
 
 def ambient_context(*terms: Term) -> dict[str, Type]:
     """A typing context collecting every constant and free variable of
-    the given terms at its annotated type.  Conflicting annotations for
-    one name raise ``IllTyped``."""
+    the given terms at its annotated type: one walk per term, which
+    claims the term's constants and then its free variables.  Conflicting
+    annotations for one name raise ``IllTyped``."""
     ctx: dict[str, Type] = {}
     for t in terms:
-        collect_constants(ctx, t)
-        for n, ty in sorted(free_vars(t), key=lambda p: p[0]):
-            if ctx.get(n, ty) != ty:
-                raise IllTyped(n, ctx[n], ty)
-            ctx[n] = ty
+        free, found = _free_and_constants(t, frozenset(), [], [])
+        claim_constants(ctx, found)
+        claim_constants(ctx, free)
     return ctx
 
 

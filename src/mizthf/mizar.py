@@ -126,10 +126,7 @@ class SourceError(Exception):
 
 
 class ParseError(SourceError):
-    def __init__(self, message: str, line: int | None = None, col: int | None = None,
-                 expected: str | None = None):
-        self.expected = expected
-        super().__init__(message, line, col)
+    """Source text that does not follow the grammar."""
 
 
 class UnknownName(SourceError):

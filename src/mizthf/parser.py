@@ -222,8 +222,8 @@ class _Parser:
     def expect(self, text: str) -> None:
         got = self.toks[self.pos]
         if got != text:
-            raise self.error(ParseError(f"expected {text!r}, got {got!r}",
-                                        expected=text), self.pos)
+            raise self.error(ParseError(f"expected {text!r}, got {got!r}"),
+                             self.pos)
         self.pos += 1
 
     def name(self, what: str) -> str:

@@ -25,7 +25,7 @@ the occurrence instead, so a message shows the instance as it reads.
 A ground side is walked once, to refuse a metavariable and to find out
 whether it needs normalizing.  An instance, and a scheme's matrix with
 its universals opened, is normalized in the walk that substitutes it:
-``hol.beta_normalize`` with the closed values as its mapping.
+``hol._normal_instance`` with the closed values as its mapping.
 """
 
 from __future__ import annotations
@@ -108,7 +108,8 @@ class Substitution(Mapping[Meta, hol.Term]):
         return sub
 
     def apply(self, t: hol.Term) -> hol.Term:
-        return hol.beta_normalize(t, self._map)
+        """The beta-normal form of ``t``'s instance, in one walk."""
+        return hol._normal_instance(t, self._map)
 
     def __getitem__(self, m: Meta) -> hol.Term:
         return self._map[m]
@@ -182,14 +183,14 @@ def _match(pairs: Iterable[tuple], normal: bool = False) -> Substitution:
         matcher.levels[:] = context
         names = {name: level for level, (name, _) in enumerate(context)}
         if matcher.sigma or not normal:
-            lhs = hol.beta_normalize(lhs, matcher.sigma)
+            lhs = hol._normal_instance(lhs, matcher.sigma)
         matcher.solve(lhs, rhs, names, names)
     return Substitution._checked(matcher.sigma)
 
 
 def _instance(t: hol.Term, sigma: Mapping[Meta, hol.Term]) -> hol.Term:
     """The solver's instance step: the normal form of ``t`` under ``sigma``."""
-    return hol.beta_normalize(t, sigma)
+    return hol._normal_instance(t, sigma)
 
 
 class _Matcher:
@@ -292,8 +293,8 @@ class _Matcher:
             spine.append(level)
         if len(set(spine)) != len(spine):
             raise NotAPattern(f"?{meta.name} applied to repeated variables")
-        free, consts = hol.free_names_and_constants(rhs)
-        for name in sorted(free):
+        free, consts = hol._free_and_constants(rhs, frozenset(), [], [])
+        for name in sorted({v.name for v in free}):
             if rv.get(name) not in spine:
                 raise OccursEscape(meta.name, name)
         # Abstract each spine level under the name the ground side uses
@@ -359,7 +360,7 @@ def recover_scheme_instantiation(scheme: hol.Term, conjecture: hol.Term,
     conjecture = _ground(conjecture, "conjecture must be ground")
     opened, matrix = _outer_universals(scheme, k)
     # opened and normalized once: every suffix a peel leaves is normal too
-    matrix = hol.beta_normalize(matrix, dict(opened))
+    matrix = hol._normal_instance(matrix, dict(opened))
     hypotheses: list[hol.Term] = []
     while True:
         try:

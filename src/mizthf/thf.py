@@ -56,7 +56,6 @@ class UndeclaredConstant(Exception):
 class Problem:
     """Declarations in dependency order, axioms, one conjecture."""
 
-    name: str
     declarations: tuple[Declaration, ...]
     axioms: tuple[tuple[str, hol.Term], ...]
     conjecture: tuple[str, hol.Term]
@@ -67,8 +66,7 @@ _REPLSEP_RE = re.compile(r"replSep_([1-9][0-9]*)$")
 
 def assemble_problem(conjecture: hol.Term,
                      axioms: list[tuple[str, hol.Term]],
-                     sig: Signature,
-                     name: str = "problem") -> Problem:
+                     sig: Signature) -> Problem:
     """Build a problem around translated formulas.
 
     Every constant occurring in the formulas must be either part of the
@@ -77,7 +75,7 @@ def assemble_problem(conjecture: hol.Term,
     """
     occurring: dict[str, hol.Type] = {}
     for term in [conjecture] + [t for _, t in axioms]:
-        hol.collect_constants(occurring, term)
+        hol.claim_constants(occurring, hol.constants(term))
 
     base = {d.name: d for d in base_declarations(sig)}
     arities = sorted(
@@ -115,8 +113,7 @@ def assemble_problem(conjecture: hol.Term,
         if decl.name in occurring and occurring[decl.name] != decl.type:
             raise hol.IllTyped(decl.name, decl.type, occurring[decl.name])
 
-    return Problem(name, tuple(decls + user), tuple(axioms),
-                   ("goal", conjecture))
+    return Problem(tuple(decls + user), tuple(axioms), ("goal", conjecture))
 
 
 # --------------------------------------------------------------- emission

@@ -236,10 +236,8 @@ def test_criterion_6_thf_self_parse(corpus_sig, corpus_files):
     clean = True
     for path in corpus_files:
         conj = translated(path, corpus_sig)
-        first = emit_thf(assemble_problem(conj, [], corpus_sig,
-                                          name=path.stem))
-        again = emit_thf(assemble_problem(conj, [], corpus_sig,
-                                          name=path.stem))
+        first = emit_thf(assemble_problem(conj, [], corpus_sig))
+        again = emit_thf(assemble_problem(conj, [], corpus_sig))
         texts[path.stem] = first
         clean = clean and first == again and check_thf(first) == []
     joined = "".join(texts.values())

@@ -16,11 +16,14 @@ from mizthf.hol import (
     alpha_eq, apps, arg_types, beta_normalize, fn, free_vars, fresh_name,
     lams, result_type, spine, subst_var, type_of,
 )
+from mizthf.mizar import Signature
 from mizthf.patterns import strip_outer_quantifiers, subst_metas
+from mizthf.thf import assemble_problem
+from mizthf.translate import translate_statement
 
 from generators import (
     CAPTURE_NAMES, CAPTURE_TYPES, random_capture_term, random_closed_prop,
-    random_term, random_type,
+    random_statement, random_term, random_type, rich_signature,
 )
 
 x, y, z = Var("x", IND), Var("y", IND), Var("z", IND)
@@ -102,6 +105,54 @@ def test_ambient_context_collects_annotations():
     assert ctx == {"p": fn(IND, PROP), "x": IND, "c": IND}
     with pytest.raises(IllTyped):
         ambient_context(And(App(p, x), Eq(Var("x", PROP), TOP, PROP)))
+
+
+def test_constants_lists_the_constant_subterms_in_preorder():
+    """``constants`` reads the one collecting walk, which recurses per
+    binder; it lists what a plain preorder walk meets, repeats included."""
+    rng = random.Random(23)
+    sig = rich_signature()
+    env = {"x": IND, "y": IND, "z": fn(IND, PROP)}
+    terms = [translate_statement(random_statement(rng), sig)
+             for _ in range(1000)]
+    terms += [random_capture_term(rng, PROP, env, 5, (M,))
+              for _ in range(1000)]
+    terms += [random_closed_prop(rng) for _ in range(500)]
+    for t in terms:
+        assert hol.constants(t) == [
+            s for s in hol.subterms(t) if type(s) is Const]
+
+
+def test_a_conflict_is_reported_where_the_walk_first_meets_it():
+    """``b`` and then ``a`` both conflict: ``b`` is reported, its two
+    annotations in the order the walk met them."""
+    b, a = Const("b", IND), Const("a", IND)
+    t = And(Eq(b, a, IND), Eq(Const("b", PROP), Const("a", PROP), PROP))
+    with pytest.raises(IllTyped) as claimed:
+        hol.claim_constants({}, hol.constants(t))
+    with pytest.raises(IllTyped) as assembled:
+        assemble_problem(TOP, [("ax", t)], Signature())
+    for e in (claimed.value, assembled.value):
+        assert (e.location, e.expected, e.found) == ("b", IND, PROP)
+    with pytest.raises(IllTyped, match="^at x: expected ι, found o$"):
+        ambient_context(And(App(p, x), Eq(Var("x", PROP), TOP, PROP)))
+
+
+def test_ambient_context_walks_each_term_once(monkeypatch):
+    walk, walked = hol._free_and_constants, []
+
+    def counted(t, bound, free, found):
+        if not bound:  # a binder's body is walked with its variable bound
+            walked.append(t)
+        return walk(t, bound, free, found)
+
+    monkeypatch.setattr(hol, "_free_and_constants", counted)
+    monkeypatch.setattr(hol, "free_vars", None)
+    terms = [All("x", IND, App(p, x)), And(App(p, y), Eq(c, c, IND)),
+             Lam("z", IND, App(f, App(f, z)))]
+    assert ambient_context(*terms) == {"p": fn(IND, PROP), "y": IND,
+                                       "c": IND, "f": fn(IND, IND)}
+    assert walked == terms
 
 
 def test_free_vars_and_binding():
@@ -475,13 +526,13 @@ def test_beta_normalize_with_a_mapping_is_the_normal_form_of_its_instance():
             mapping[key] = (N if ty == IND and rng.random() < 0.2 else
                             random_capture_term(rng, ty, {}, 2))
         want = beta_normalize(hol.substitute(t, mapping))
-        got = beta_normalize(t, mapping)
+        got = hol._normal_instance(t, mapping)
         assert got == want and hol.show_term(got) == hol.show_term(want)
     # a redex takes its argument unnormalized, free ``x`` and all, so the
     # binder ``x`` is renamed
     v = Var("v", IND)
     t = App(Lam("v", IND, Lam("x", IND, v)), App(Lam("w", IND, y), x))
-    assert beta_normalize(t, {"y": c}) == Lam("x1", IND, c)
+    assert hol._normal_instance(t, {"y": c}) == Lam("x1", IND, c)
 
 
 def substitution_cases(seed, n):

@@ -253,9 +253,9 @@ def test_emission_is_deterministic(corpus_sig, corpus_files):
     for path in corpus_files:
         stmt = parse_statement(path.read_text(), corpus_sig)
         conj = translate_statement(stmt, corpus_sig)
-        prob = assemble_problem(conj, [], corpus_sig, name=path.stem)
+        prob = assemble_problem(conj, [], corpus_sig)
         first = emit_thf(prob)
-        prob2 = assemble_problem(conj, [], corpus_sig, name=path.stem)
+        prob2 = assemble_problem(conj, [], corpus_sig)
         assert emit_thf(prob2) == first
 
 
@@ -642,7 +642,7 @@ def test_caches_stay_within_their_caps():
     for k in range(CACHE_SIZE + 50):
         ax = Not(Not(c)) if k % 2 else Imp(c, c)
         decl = Declaration("c", o, axioms=((f"ax{k}", ax),))
-        text = emit_thf(Problem("p", (decl,), (), ("goal", TOP)))
+        text = emit_thf(Problem((decl,), (), ("goal", TOP)))
         assert f"thf(ax{k}, axiom, " in text
         assert len(thf._support_lines) <= CACHE_SIZE
         assert all(len(lines) <= CACHE_SIZE
