@@ -99,20 +99,22 @@ def cmd_check(args: argparse.Namespace) -> int:
         except SourceError as e:
             print(_positioned(e), file=sys.stderr)
             status = 1
-        except TranslationError as e:
-            print(f"{path}: {e}", file=sys.stderr)
-            status = 1
-        except RecursionError:
-            print(f"{path}: {_TOO_DEEP}", file=sys.stderr)
-            status = 1
     return status
 
 
 def _translate_file(path: str, sig: Signature,
                     max_arity: int) -> tuple[MStatement, hol.Term]:
+    """The statement in ``path`` and its term; a translation refusal or a
+    stack overflow while translating is a ``SourceError`` naming ``path``."""
     statement = _load(path, parse_statement, sig)
-    return statement, translate_statement(statement, sig,
-                                          max_arity=max_arity)
+    try:
+        return statement, translate_statement(statement, sig,
+                                              max_arity=max_arity)
+    except (TranslationError, RecursionError) as e:
+        err = SourceError(str(e) if isinstance(e, TranslationError)
+                          else _TOO_DEEP)
+        err.path = path
+        raise err from None
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
@@ -266,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(e), 2)
     except SourceError as e:
         return _fail(_positioned(e), 1)
-    except (TranslationError, thf.UndeclaredConstant, hol.HolTypeError) as e:
+    except (thf.UndeclaredConstant, hol.HolTypeError) as e:
         return _fail(str(e), 1)
     except RecursionError:
         # a nesting no layer bounds yet ran out of Python stack

@@ -9,14 +9,15 @@ a map, and a guard.  ``replSepI_n`` needs sethood of every binder class;
 fails, so the operators are underspecified there.
 
 Terms are immutable, so the support material is built once per process
-and shared by every problem.  ``gen_replSep_decl`` and
-``gen_replSep_axioms`` are cached on ``n``; the base declarations are
-cached on the Element-of mode's name (``sig.elementof``), not on the
-``Signature``, which ``tag_elementof`` changes in place.  These caches
-have no cap: they hold one entry per arity and per mode name met.
-``base_declarations`` returns a fresh list on every call.  Because the
-declarations and their terms are the same objects in every problem,
-``thf`` caches their rendered lines on the objects' identity.
+and shared by every problem.  ``family_declarations`` is built once;
+``gen_replSep_decl`` and ``gen_replSep_axioms`` are cached on ``n``;
+``elementof_declaration`` is cached on the Element-of mode's name
+(``sig.elementof``, not the ``Signature``, which ``tag_elementof``
+changes in place) and on whether the mode's sethood axiom is wanted.
+These caches have no cap: they hold one entry per arity and per mode
+name met.  ``base_declarations`` returns a fresh list on every call.
+Because the declarations and their terms are the same objects in every
+problem, ``thf`` caches their rendered lines on the objects' identity.
 """
 
 from __future__ import annotations
@@ -141,11 +142,15 @@ def gen_replSep_axioms(n: int) -> tuple[tuple[str, hol.Term], tuple[str, hol.Ter
 def base_declarations(sig: Signature | None = None) -> list[Declaration]:
     """Membership, choice and sethood, plus the Element-of mode (with
     its nonemptiness and sethood axioms) when ``sig`` tags one."""
-    return list(_base_declarations(None if sig is None else sig.elementof))
+    decls = list(family_declarations())
+    if sig is not None and sig.elementof is not None:
+        decls.append(elementof_declaration(sig.elementof, True))
+    return decls
 
 
 @cache
-def _base_declarations(mode: str | None) -> tuple[Declaration, ...]:
+def family_declarations() -> tuple[Declaration, Declaration, Declaration]:
+    """Membership; choice with its axiom; sethood with its definition."""
     p = Var("p", hol.fn(IND, PROP))
     x = Var("x", IND)
     y = Var("y", IND)
@@ -158,20 +163,24 @@ def _base_declarations(mode: str | None) -> tuple[Declaration, ...]:
         p.name, p.type,
         Ex(y.name, IND, All(x.name, IND, Imp(App(p, x), member(x, y)))))
 
-    decls = [
-        Declaration(MEMBER, MEMBER_TYPE),
-        Declaration(EPS, EPS_TYPE, axioms=(("epsax", epsax),)),
-        Declaration(SETHOOD, SETHOOD_TYPE, definition=sethood_body),
-    ]
+    return (Declaration(MEMBER, MEMBER_TYPE),
+            Declaration(EPS, EPS_TYPE, axioms=(("epsax", epsax),)),
+            Declaration(SETHOOD, SETHOOD_TYPE, definition=sethood_body))
 
-    if mode is not None:
-        mode_c = Const(mode, hol.fn(IND, IND, PROP))
-        a = Var("A", IND)
-        b = Var("B", IND)
-        nonempty = All(a.name, IND, Ex(b.name, IND, hol.apps(mode_c, b, a)))
-        sh = All(a.name, IND,
-                 sethood_of(Lam(x.name, IND, hol.apps(mode_c, x, a))))
-        decls.append(Declaration(
-            mode, hol.fn(IND, IND, PROP),
-            axioms=((f"{mode}_nonempty", nonempty), (f"{mode}_sethood", sh))))
-    return tuple(decls)
+
+@cache
+def elementof_declaration(mode: str, sethood: bool) -> Declaration:
+    """The Element-of mode with its nonemptiness axiom, then its sethood
+    axiom if ``sethood``.  The form without shares the first axiom's
+    term with the form with it."""
+    mode_type = hol.fn(IND, IND, PROP)
+    if not sethood:
+        full = elementof_declaration(mode, True)
+        return Declaration(mode, mode_type, axioms=full.axioms[:1])
+    mode_c = Const(mode, mode_type)
+    a, b, x = Var("A", IND), Var("B", IND), Var("x", IND)
+    nonempty = All(a.name, IND, Ex(b.name, IND, hol.apps(mode_c, b, a)))
+    sh = All(a.name, IND,
+             sethood_of(Lam(x.name, IND, hol.apps(mode_c, x, a))))
+    return Declaration(mode, mode_type, axioms=(
+        (f"{mode}_nonempty", nonempty), (f"{mode}_sethood", sh)))

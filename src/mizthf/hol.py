@@ -523,7 +523,6 @@ class IllTyped(HolTypeError):
 
 class UnboundName(HolTypeError):
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"unbound name {name!r}")
 
 
@@ -609,13 +608,14 @@ def _type_of(t: Term, ctx: TypingContext, bound: dict[str, Type],
 
 
 def claim_constants(ctx: dict[str, Type],
-                    found: Iterable[Const | Var]) -> None:
-    """Add each occurrence in ``found`` to ``ctx`` at its annotated type,
-    in the order given, which is the order a walk met them.  The first
-    annotation that disagrees with ``ctx`` raises ``IllTyped``."""
+                    found: Iterable[Const | Var]) -> dict[str, Type]:
+    """``ctx`` with each occurrence in ``found`` added at its annotated
+    type, in the order given, which is the order a walk met them.  The
+    first annotation that disagrees with ``ctx`` raises ``IllTyped``."""
     for c in found:
         if (ty := ctx.setdefault(c.name, c.type)) != c.type:
             raise IllTyped(c.name, ty, c.type)
+    return ctx
 
 
 def ambient_context(*terms: Term) -> dict[str, Type]:

@@ -131,28 +131,21 @@ class ParseError(SourceError):
 
 class UnknownName(SourceError):
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"unknown name {name!r}")
 
 
 class ArityMismatch(SourceError):
     def __init__(self, name: str, expected: int, found: int):
-        self.name = name
-        self.expected = expected
-        self.found = found
         super().__init__(f"{name!r} takes {expected} argument(s), got {found}")
 
 
 class KindMismatch(SourceError):
     def __init__(self, name: str, wanted: str):
-        self.name = name
-        self.wanted = wanted
         super().__init__(f"{name!r} is not {wanted}")
 
 
 class DuplicateName(SourceError):
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"duplicate declaration of {name!r}")
 
 

@@ -90,12 +90,14 @@ class Substitution(Mapping[Meta, hol.Term]):
 
     def __init__(self, mapping: Mapping[Meta, hol.Term]):
         for m, value in mapping.items():
-            if hol.free_vars(value):
+            # one walk: a closed value's context holds only its constants
+            free, consts = hol._free_and_constants(value, frozenset(), [], [])
+            if free:
                 raise ValueError(f"assignment for ?{m.name} is not closed")
             if hol.has_metas(value):
                 raise ValueError(f"assignment for ?{m.name} contains "
                                  "metavariables")
-            found = hol.type_of(value, hol.ambient_context(value))
+            found = hol.type_of(value, hol.claim_constants({}, consts))
             if found != m.type:
                 raise hol.IllTyped(f"?{m.name}", m.type, found)
         self._map = dict(mapping)
@@ -310,9 +312,7 @@ class _Matcher:
             taken.add(name)
             binders.append((name, ty))
         value = hol.lams(binders, rhs)
-        ctx: dict[str, hol.Type] = {}
-        hol.claim_constants(ctx, consts)
-        found = hol.type_of(value, ctx)
+        found = hol.type_of(value, hol.claim_constants({}, consts))
         if found != meta.type:
             raise NoMatch(f"?{meta.name} wants type ", meta.type,
                           ", solution has ", found)

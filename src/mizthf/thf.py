@@ -2,12 +2,13 @@
 
 A problem carries declarations (each may bring a defining equation and
 named axioms), user axioms, and one conjecture.  ``assemble_problem``
-includes exactly the support the formulas demand: membership is always
-declared, choice comes in with its axiom iff ``eps`` occurs, and
-``sethood`` plus the ``replSep_n`` operators and their axioms come in
-iff a comprehension constant occurs.  The Element-of mode's sethood
-axiom rides along only when sethood itself is present, keeping the
-demand rule exact.
+includes exactly the support the formulas demand, in one list built in
+this order: membership, always; choice with its axiom iff ``eps``
+occurs; ``sethood`` iff it or a comprehension constant ``replSep_n``
+occurs; those operators with their axioms, by arity; then every other
+occurring constant in name order.  The Element-of mode is the form
+``declarations`` builds with its sethood axiom exactly when sethood is
+present, keeping the demand rule exact.
 
 Emission is deterministic: same problem, same bytes.  Source names are
 mangled to THF0 atomic words through a per-problem table (lower-case
@@ -29,12 +30,13 @@ lines per source); a full table of lines is cleared.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import hol
 from .declarations import (
-    EPS, MEMBER, SETHOOD, Declaration, base_declarations, gen_replSep_decl,
+    EPS, SETHOOD, Declaration, elementof_declaration, family_declarations,
+    gen_replSep_decl,
 )
 from .hol import (
     All, And, App, Const, Eq, Ex, FnType, Iff, Imp, Lam, Meta, Not, Or,
@@ -48,7 +50,6 @@ CACHE_SIZE = 256
 
 class UndeclaredConstant(Exception):
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"no declaration source for constant {name!r}")
 
 
@@ -77,43 +78,30 @@ def assemble_problem(conjecture: hol.Term,
     for term in [conjecture] + [t for _, t in axioms]:
         hol.claim_constants(occurring, hol.constants(term))
 
-    base = {d.name: d for d in base_declarations(sig)}
     arities = sorted(
         int(m.group(1)) for n in occurring
         if (m := _REPLSEP_RE.fullmatch(n)))
     fraenkel = bool(arities) or SETHOOD in occurring
-
-    decls: list[Declaration] = [base[MEMBER]]
+    member, eps, sethood = family_declarations()
+    decls = [member]
     if EPS in occurring:
-        decls.append(base[EPS])
+        decls.append(eps)
     if fraenkel:
-        decls.append(base[SETHOOD])
+        decls.append(sethood)
     decls.extend(map(gen_replSep_decl, arities))
-
-    handled = {d.name for d in decls}
-    user: list[Declaration] = []
-    for cname in sorted(occurring):
-        if cname in handled:
-            continue
+    for cname in sorted(occurring.keys() - {d.name for d in decls}):
         if cname == sig.elementof:
-            decl = base[cname]
-            if not fraenkel:
-                # drop the sethood axiom when no comprehension demands it
-                decl = replace(decl, axioms=tuple(
-                    ax for ax in decl.axioms
-                    if not ax[0].endswith("_sethood")))
-            user.append(decl)
-            continue
-        entry = sig.lookup(cname)
-        if entry is None:
+            decls.append(elementof_declaration(cname, fraenkel))
+        elif (entry := sig.lookup(cname)) is None:
             raise UndeclaredConstant(cname)
-        user.append(Declaration(cname, entry.hol_type()))
+        else:
+            decls.append(Declaration(cname, entry.hol_type()))
 
-    for decl in decls + user:
+    for decl in decls:
         if decl.name in occurring and occurring[decl.name] != decl.type:
             raise hol.IllTyped(decl.name, decl.type, occurring[decl.name])
 
-    return Problem(tuple(decls + user), tuple(axioms), ("goal", conjecture))
+    return Problem(tuple(decls), tuple(axioms), ("goal", conjecture))
 
 
 # --------------------------------------------------------------- emission

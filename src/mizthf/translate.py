@@ -212,10 +212,3 @@ def _prefix(s: MStatement, i: int, env: TransEnv) -> hol.Term:
             rest = _prefix(s, i + 1, env.bind(name, pty))
             return All(name, pty, rest)
     raise TypeError(f"unexpected declaration {decl!r}")
-
-
-__all__ = [
-    "MAX_ARITY", "TransEnv", "TranslationError", "translate_guard",
-    "translate_type", "translate_term", "translate_prop",
-    "translate_statement",
-]

@@ -157,11 +157,25 @@ def test_check_passes_what_translate_passes(tmp_path, sig, capsys):
     good = tmp_path / "good.mst"
     good.write_text("statement : c1 = c1\n")
     assert main(["check", str(src), str(good), "--sig", sig]) == 1
-    assert capsys.readouterr().err == f"{src}: {refused}"
+    assert capsys.readouterr().err == refused
     for command in ("check", "translate"):
         assert main([command, str(src), "--sig", sig,
                      "--max-arity", "8"]) == 0
         assert capsys.readouterr().err == ""
+
+
+def test_emit_names_the_file_that_fails_to_translate(tmp_path, sig,
+                                                     corpus_files, capsys):
+    conj = next(p for p in corpus_files if p.stem == "eq_triv")
+    wide = tmp_path / "wide.mst"
+    binders = ", ".join(f"u{i} is set" for i in range(8))
+    wide.write_text(
+        f"statement : c1 in {{ f1(u0) where {binders} : p1(u0) }}\n")
+    assert main(["emit", str(conj), "--sig", sig, "--axiom", str(conj),
+                 "--axiom", str(wide)]) == 1
+    assert capsys.readouterr().err == (
+        f"{wide}: comprehension with 8 binders exceeds the arity limit 6; "
+        "raise --max-arity to allow it\n")
 
 
 def _arity_files(tmp_path, arity):

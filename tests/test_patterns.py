@@ -209,6 +209,38 @@ def test_substitution_validates_closed():
         Substitution({A: Top()})
 
 
+def test_substitution_messages():
+    A, F = Meta("A", i), Meta("F", fn(i, i))
+    cases = [
+        ({A: App(f1, Var("x", i))}, "assignment for ?A is not closed"),
+        ({A: App(f1, Meta("B", i))},
+         "assignment for ?A contains metavariables"),
+        ({A: App(Const("f1", fn(i, i)), Const("f1", i))},
+         "at f1: expected ι→ι, found ι"),
+        ({F: c1}, "at ?F: expected ι→ι, found ι"),
+    ]
+    for mapping, message in cases:
+        with pytest.raises((ValueError, IllTyped)) as info:
+            Substitution(mapping)
+        assert str(info.value) == message
+
+
+def test_substitution_walks_each_value_once(monkeypatch):
+    """One walk per value serves the closedness check and the typing
+    context."""
+    walk, tops = hol._free_and_constants, []
+
+    def counted(t, bound, free, found):
+        if not bound:  # a walk under a binder belongs to its caller's
+            tops.append(t)
+        return walk(t, bound, free, found)
+
+    monkeypatch.setattr(hol, "_free_and_constants", counted)
+    P, A = Meta("P", fn(i, o)), Meta("A", i)
+    Substitution({P: Lam("x", i, App(p1, Var("x", i))), A: c1})
+    assert len(tops) == 2
+
+
 def test_substitution_apply_normalizes():
     P = Meta("P", fn(i, o))
     sigma = Substitution({P: Lam("x", i, App(p1, Var("x", i)))})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 import threading
@@ -9,10 +10,11 @@ import threading
 import pytest
 
 from mizthf import (
-    Signature, assemble_problem, check_thf, emit_thf, parse_statement,
-    translate_statement,
+    Signature, assemble_problem, base_declarations, check_thf, emit_thf,
+    parse_statement, translate_statement,
 )
 from mizthf import hol, thf, thfcheck
+from mizthf.cli import main
 from mizthf.declarations import Declaration, member
 from mizthf.hol import (
     All, And, App, Const, Eq, Ex, Iff, IllTyped, Imp, IND, Lam, Not, Or,
@@ -159,6 +161,38 @@ def test_undeclared_constant_is_rejected():
     sig = small_sig()
     with pytest.raises(UndeclaredConstant):
         assemble_problem(Eq(Const("ghost", i), Const("c", i), i), [], sig)
+
+
+def test_an_undeclared_constant_is_reported_before_a_mistyped_one():
+    sig = small_sig()
+    mistyped = App(Const("eps", fn(i, o)), Const("c", i))
+    ghost = Eq(Const("ghost", i), Const("c", i), i)
+    with pytest.raises(UndeclaredConstant) as info:
+        assemble_problem(And(ghost, mistyped), [], sig)
+    assert str(info.value) == "no declaration source for constant 'ghost'"
+    with pytest.raises(IllTyped) as info:
+        assemble_problem(mistyped, [], sig)
+    assert str(info.value) == "at eps: expected (ι→o)→ι, found ι→o"
+
+
+def test_problems_share_each_elementof_form():
+    def mode(src: str) -> Declaration:
+        sig = small_sig()
+        conj = translate_statement(parse_statement(src, sig), sig)
+        decls = assemble_problem(conj, [], sig).declarations
+        return next(d for d in decls if d.name == "m1_subset_1")
+
+    plain = [mode("statement : m1_subset_1(c, c)"),
+             mode("statement : p(c) & m1_subset_1(c, c)")]
+    fraenkel = [mode("statement : c in {u where u is Element of c : p(u)}"),
+                mode("statement : c in {f(u) where u is Element of c : "
+                     "m1_subset_1(u, c)}")]
+    assert plain[0] is plain[1] and fraenkel[0] is fraenkel[1]
+    assert [name for name, _ in plain[0].axioms] == ["m1_subset_1_nonempty"]
+    assert [name for name, _ in fraenkel[0].axioms] == [
+        "m1_subset_1_nonempty", "m1_subset_1_sethood"]
+    assert plain[0].axioms[0][1] is fraenkel[0].axioms[0][1]
+    assert base_declarations(small_sig())[-1] is fraenkel[0]
 
 
 def test_conflicting_annotations_are_rejected():
@@ -649,3 +683,51 @@ def test_caches_stay_within_their_caps():
                    for _, _, lines in thf._support_lines.values())
     for fn_ in (thf._mangle, thf.render_type):
         assert fn_.cache_info().maxsize == CACHE_SIZE
+
+
+# SHA-256 of ``golden_texts``, recorded with the assembler that chose the
+# Element-of mode's axioms by name.
+THF_GOLDEN_DIGEST = (
+    "316a5e2ca0103d8a499186978de66349c2a9bea5f9eeb90f8a86c636f9ac9ffb")
+
+
+def golden_texts(corpus_files, capsys) -> list[str]:
+    """600 seeded one-statement problems and 40 of a conjecture and 12
+    premises over ``rich_signature``; each corpus file emitted alone
+    and with two other files as axioms; and the ``M1``/``m1`` problems,
+    where a user constant takes the Element-of mode's word."""
+    rng, sig = random.Random(2424), rich_signature()
+
+    def problem(size: int) -> str:
+        terms = [translate_statement(random_statement(rng), sig)
+                 for _ in range(size)]
+        axioms = [(f"a{k}", t) for k, t in enumerate(terms[1:], 1)]
+        return emit_thf(assemble_problem(terms[0], axioms, sig))
+
+    texts = [problem(1) for _ in range(600)]
+    texts += [problem(13) for _ in range(40)]
+    files = [str(p) for p in corpus_files]
+    sig_file = str(corpus_files[0].parent / "common.sig")
+    for k, conj in enumerate(files):
+        for axioms in ([], ["--axiom", files[k - 1], "--axiom", files[k - 2]]):
+            assert main(["emit", conj, "--sig", sig_file, *axioms]) == 0
+            texts.append(capsys.readouterr().out)
+    collision = Signature()
+    collision.declare("c1", "obj")
+    collision.declare("M1", "mode", 2)
+    collision.declare("m1", "mode", 2)
+    collision.tag_elementof("m1")
+    for src in ["M1(c1, c1) & m1(c1, c1)", "m1(c1, c1)",
+                "c1 in {x where x is Element of c1 : m1(x, c1)}",
+                "M1(c1, c1) & c1 in {x where x is Element of c1 : m1(x, c1)}"]:
+        texts.append(emit("statement : " + src, collision))
+    return texts
+
+
+def test_thf_golden(corpus_files, capsys):
+    """The emitted bytes of every golden problem stay the recorded ones,
+    and each text checks clean."""
+    texts = golden_texts(corpus_files, capsys)
+    assert all(check_thf(text) == [] for text in texts)
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == THF_GOLDEN_DIGEST
