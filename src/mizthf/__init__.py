@@ -9,7 +9,7 @@ prints problems, ``thfcheck`` re-parses them as a safety net, and
 matching.
 """
 
-from .declarations import Declaration, base_declarations
+from .declarations import Declaration
 from .hol import alpha_eq, beta_normalize, show_term, type_of
 from .mizar import Diagnostic, MStatement, Signature, SourceError, well_formed
 from .parser import parse_signature, parse_statement
@@ -26,7 +26,7 @@ from .translate import TranslationError, translate_statement
 __version__ = "0.1.0"
 
 __all__ = [
-    "Declaration", "base_declarations",
+    "Declaration",
     "alpha_eq", "beta_normalize", "show_term", "type_of",
     "Diagnostic", "MStatement", "Signature", "SourceError", "well_formed",
     "parse_signature", "parse_statement",

@@ -15,7 +15,7 @@ and shared by every problem.  ``family_declarations`` is built once;
 (``sig.elementof``, not the ``Signature``, which ``tag_elementof``
 changes in place) and on whether the mode's sethood axiom is wanted.
 These caches have no cap: they hold one entry per arity and per mode
-name met.  ``base_declarations`` returns a fresh list on every call.
+name met.
 Because the declarations and their terms are the same objects in every
 problem, ``thf`` caches their rendered lines on the objects' identity.
 """
@@ -27,7 +27,6 @@ from functools import cache
 
 from . import hol
 from .hol import All, App, Const, Eq, Ex, Imp, IND, Lam, PROP, Var
-from .mizar import Signature
 
 EPS = "eps"
 MEMBER = hol.MEMBER
@@ -137,15 +136,6 @@ def gen_replSep_axioms(n: int) -> tuple[tuple[str, hol.Term], tuple[str, hol.Ter
                                      Eq(y, hol.apps(map_fn, *xs), IND)]))))
 
     return ((f"replSepI_{n}", intro), (f"replSepE_{n}", elim))
-
-
-def base_declarations(sig: Signature | None = None) -> list[Declaration]:
-    """Membership, choice and sethood, plus the Element-of mode (with
-    its nonemptiness and sethood axioms) when ``sig`` tags one."""
-    decls = list(family_declarations())
-    if sig is not None and sig.elementof is not None:
-        decls.append(elementof_declaration(sig.elementof, True))
-    return decls
 
 
 @cache

@@ -20,12 +20,18 @@ variables and constants, in preorder.  Typing contexts are claimed in
 that order, so a conflict is reported at the first occurrence the walk
 meets, whatever the hash seed.
 
+The 14 constructors share 7 field layouts, each declared once: ``Var``,
+``Const`` and ``Meta`` are empty subclasses of ``Named``, ``Lam``,
+``All`` and ``Ex`` of ``Binder``, and the connectives of ``Binary``.
+Equality compares the exact class: ``And(a, b) != Or(a, b)``.
+
 ``children`` and ``map_children`` are the only code outside typing and
-printing that lists the constructor shapes, each as one table keyed on
-a term's exact class (so a constructor's subclass is foreign to them).
-Every other walk, here and in ``patterns``, handles the cases where it
-differs (variables, metavariables, binders) and hands the rest to that
-pair, so a new constructor needs only those two to change.
+printing that lists the constructors, each as one table keyed on a
+term's exact class (so a constructor's subclass, or a bare shape, is
+foreign to them).  Every other walk, here and in ``patterns``, handles
+the cases where it differs (variables, metavariables, binders) and
+hands the rest to that pair, so a new constructor needs only those two
+to change.
 
 A walk holds no reference to itself: its state is passed in as
 arguments or held by a small class, and ``substitute``'s ``go``, the
@@ -118,28 +124,28 @@ class Term:
 
 
 @dataclass(frozen=True)
-class Var(Term):
+class Named(Term):
+    """The shape of ``Var``, ``Const`` and ``Meta``."""
+
     name: str
     type: Type
 
 
-@dataclass(frozen=True)
-class Const(Term):
-    name: str
-    type: Type
+class Var(Named):
+    pass
 
 
-@dataclass(frozen=True)
-class Meta(Term):
+class Const(Named):
+    pass
+
+
+class Meta(Named):
     """A metavariable (matching hole).
 
     Lives in a namespace disjoint from ``Var``/``Const``: binders never
     bind it and ``subst_var`` never touches it.  Only the pattern-matching
     engine instantiates these, by ``substitute`` or ``_normal_instance``.
     """
-
-    name: str
-    type: Type
 
 
 @dataclass(frozen=True)
@@ -149,18 +155,29 @@ class App(Term):
 
 
 @dataclass(frozen=True)
-class Lam(Term):
+class Binder(Term):
+    """The shape of ``Lam``, ``All`` and ``Ex``."""
+
     var: str
     var_type: Type
     body: Term
 
 
+class Lam(Binder):
+    pass
+
+
+class All(Binder):
+    pass
+
+
+class Ex(Binder):
+    pass
+
+
 @dataclass(frozen=True)
 class Top(Term):
     """The true proposition."""
-
-    def __str__(self) -> str:
-        return "⊤"
 
 
 @dataclass(frozen=True)
@@ -178,41 +195,27 @@ class Not(Term):
 
 
 @dataclass(frozen=True)
-class And(Term):
+class Binary(Term):
+    """The shape of ``And``, ``Or``, ``Imp`` and ``Iff``."""
+
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
-class Or(Term):
-    lhs: Term
-    rhs: Term
+class And(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Imp(Term):
-    lhs: Term
-    rhs: Term
+class Or(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Iff(Term):
-    lhs: Term
-    rhs: Term
+class Imp(Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class All(Term):
-    var: str
-    var_type: Type
-    body: Term
-
-
-@dataclass(frozen=True)
-class Ex(Term):
-    var: str
-    var_type: Type
-    body: Term
+class Iff(Binary):
+    pass
 
 
 TOP = Top()
@@ -494,7 +497,7 @@ def _alpha_eq(s: Term, t: Term, es: dict[str, int], et: dict[str, int],
         return l1 == l2
     if isinstance(s, (Const, Meta)):
         return s == t
-    if isinstance(s, BINDERS):
+    if isinstance(s, Binder):
         return s.var_type == t.var_type and _alpha_eq(
             s.body, t.body, {**es, s.var: d}, {**et, t.var: d}, d + 1)
     if isinstance(s, Eq) and s.at_type != t.at_type:

@@ -146,7 +146,7 @@ def _is_pattern(t: hol.Term, bound: frozenset[str]) -> bool:
     if isinstance(head, Meta):
         names = {a.name for a in args if isinstance(a, Var)}
         return len(names) == len(args) and names <= bound
-    if isinstance(t, hol.BINDERS):
+    if isinstance(t, hol.Binder):
         return _is_pattern(t.body, bound | {t.var})
     return all(_is_pattern(c, bound) for c in hol.children(t))
 

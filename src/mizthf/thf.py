@@ -39,8 +39,8 @@ from .declarations import (
     gen_replSep_decl,
 )
 from .hol import (
-    All, And, App, Const, Eq, Ex, FnType, Iff, Imp, Lam, Meta, Not, Or,
-    Top, Var,
+    All, And, App, Binary, Binder, Const, Eq, Ex, FnType, Iff, Imp, Lam,
+    Meta, Not, Or, Top, Var,
 )
 from .mizar import Signature
 
@@ -192,11 +192,12 @@ def _render(t: hol.Term, consts: MangleTable, env: dict[str, str],
             head, args = hol.spine(t)
             parts = [_render(s, consts, env, "operand") for s in [head, *args]]
             return f"({' @ '.join(parts)})"
-        case All() | Ex() | Lam():
-            quant = _QUANT[type(t)]
+        case Binder():
+            cls = type(t)
+            quant = _QUANT[cls]
             binders = []
             active = set(env.values())
-            while isinstance(t, (All, Ex, Lam)) and _QUANT[type(t)] == quant:
+            while type(t) is cls:
                 v = unique_name(_mangle(t.var, "X"), active)
                 binders.append((t.var, v, t.var_type))
                 env = {**env, t.var: v}
@@ -211,7 +212,7 @@ def _render(t: hol.Term, consts: MangleTable, env: dict[str, str],
             return s if ctx == "top" else f"({s})"
         case Not(a):
             return f"~ {_render(a, consts, env, 'operand')}"
-        case And(l, r) | Or(l, r) | Imp(l, r) | Iff(l, r):
+        case Binary(l, r):
             op = _BINOP[type(t)]
             s = (f"{_render(l, consts, env, 'operand')} {op} "
                  f"{_render(r, consts, env, 'operand')}")

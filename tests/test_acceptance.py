@@ -16,9 +16,10 @@ from generators import (
     fuzz_source, mutate_statement, planted_problem, random_statement,
     rich_signature,
 )
-from mizthf import base_declarations, hol
+from mizthf import hol
 from mizthf.declarations import (
-    gen_replSep_axioms, gen_replSep_decl, member, replsep_type, sethood_of,
+    family_declarations, gen_replSep_axioms, gen_replSep_decl, member,
+    replsep_type, sethood_of,
 )
 from mizthf.hol import (
     All, And, App, Const, Eq, Ex, Iff, Imp, IND, Lam, PROP, Var, alpha_eq,
@@ -84,7 +85,7 @@ def test_criterion_1_golden_translations(corpus_sig, corpus_files):
 
 
 def test_criterion_2_canonical_constant_family():
-    base = {d.name: d for d in base_declarations()}
+    base = {d.name: d for d in family_declarations()}
     (_, epsax), = base["eps"].axioms
     p, x = Var("p", fn(i, o)), Var("x", i)
     want_epsax = All("p", fn(i, o), All("x", i, Imp(

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import pytest
 
-from mizthf import Signature, base_declarations, hol
+from mizthf import Signature, assemble_problem, hol
 from mizthf.declarations import (
     EPS, EPS_TYPE, InvalidArity, MEMBER, MEMBER_TYPE, SETHOOD,
-    SETHOOD_TYPE, choice, class_type, gen_replSep_axioms, gen_replSep_decl,
-    member, replsep_name, replsep_type, sethood_of,
+    SETHOOD_TYPE, choice, class_type, elementof_declaration,
+    family_declarations, gen_replSep_axioms, gen_replSep_decl, member,
+    replsep_name, replsep_type, sethood_of,
 )
 from mizthf.hol import (
-    All, And, App, Const, Eq, Ex, Imp, IND, Lam, PROP, Var, alpha_eq,
+    All, And, App, Const, Eq, Ex, Imp, IND, Lam, PROP, TOP, Var, alpha_eq,
     ambient_context, apps, fn, type_of,
 )
 
@@ -50,7 +51,12 @@ def test_membership_name_is_spelled_once():
 
 
 def _decl_map(sig=None):
-    return {d.name: d for d in base_declarations(sig)}
+    """Membership, choice and sethood, plus the Element-of mode with both
+    its axioms when ``sig`` tags one."""
+    decls = list(family_declarations())
+    if sig is not None and sig.elementof is not None:
+        decls.append(elementof_declaration(sig.elementof, True))
+    return {d.name: d for d in decls}
 
 
 def test_choice_axiom_matches_transcription():
@@ -182,8 +188,9 @@ def test_all_base_declarations_type_check():
     sig = Signature()
     sig.declare("m1_subset_1", "mode", 2)
     sig.tag_elementof("m1_subset_1")
-    ctx = {d.name: d.type for d in base_declarations(sig)}
-    for d in base_declarations(sig):
+    decls = _decl_map(sig).values()
+    ctx = {d.name: d.type for d in decls}
+    for d in decls:
         if d.definition is not None:
             assert type_of(d.definition, ctx) == d.type
         for _, ax in d.axioms:
@@ -193,22 +200,22 @@ def test_all_base_declarations_type_check():
 # ------------------------------------------------- cached support material
 
 
-def test_base_declarations_follow_a_later_elementof_tag():
+def test_assembly_follows_a_later_elementof_tag():
     sig = Signature()
+    sig.declare("c", "obj")
     sig.declare("m1_subset_1", "mode", 2)
-    assert "m1_subset_1" not in _decl_map(sig)
+    c = Const("c", i)
+    goal = And(apps(Const("m1_subset_1", fn(i, i, o)), c, c),
+               sethood_of(Lam("x", i, TOP)))
+
+    def mode():
+        decls = assemble_problem(goal, [], sig).declarations
+        return next(d for d in decls if d.name == "m1_subset_1")
+
+    assert mode().axioms == ()
     sig.tag_elementof("m1_subset_1")
-    mode = _decl_map(sig)["m1_subset_1"]
-    assert [name for name, _ in mode.axioms] == [
+    assert [name for name, _ in mode().axioms] == [
         "m1_subset_1_nonempty", "m1_subset_1_sethood"]
-
-
-def test_base_declarations_return_a_fresh_list():
-    first = base_declarations()
-    names = [d.name for d in first]
-    first.clear()
-    first.append(gen_replSep_decl(1))
-    assert [d.name for d in base_declarations()] == names
 
 
 def test_replsep_material_is_built_once():

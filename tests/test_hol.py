@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -381,9 +383,21 @@ ONE_OF_EACH = [
 ]
 
 
+def _constructors() -> set[type]:
+    """The leaf subclasses of ``hol.Term`` defined in ``hol``; a shape
+    such as ``hol.Binary`` has subclasses there, so it is not one."""
+    out, stack = set(), [hol.Term]
+    while stack:
+        subs = [s for s in stack.pop().__subclasses__()
+                if s.__module__ == hol.__name__]
+        out.update(s for s in subs if not any(
+            k.__module__ == hol.__name__ for k in s.__subclasses__()))
+        stack += subs
+    return out
+
+
 def test_children_and_map_children_cover_every_constructor():
-    constructors = {cls for cls in hol.Term.__subclasses__()
-                    if cls.__module__ == hol.__name__}
+    constructors = _constructors()
     assert {type(t) for t in ONE_OF_EACH} == constructors
     for t in ONE_OF_EACH:
         subs = {fl.name: getattr(t, fl.name) for fl in dataclasses.fields(t)
@@ -418,6 +432,58 @@ def test_a_constructor_subclass_is_foreign(t):
     hol.type_of(t, ctx)
     with pytest.raises(TypeError, match="unexpected term"):
         hol.type_of(u, ctx)
+
+
+# Each shared shape: its constructors, fields for one of each, the
+# field names with their declared types, and the repr after the name.
+SHAPES = [
+    (hol.Named, (Var, Const, Meta), ("x", IND),
+     [("name", "str"), ("type", "Type")], "(name='x', type=IndType())"),
+    (hol.Binder, (Lam, All, Ex), ("x", IND, TOP),
+     [("var", "str"), ("var_type", "Type"), ("body", "Term")],
+     "(var='x', var_type=IndType(), body=Top())"),
+    (hol.Binary, (And, Or, Imp, Iff), (TOP, TOP),
+     [("lhs", "Term"), ("rhs", "Term")], "(lhs=Top(), rhs=Top())"),
+]
+
+
+@pytest.mark.parametrize("shape, siblings, args, fields, text", SHAPES,
+                         ids=[shape.__name__ for shape, *_ in SHAPES])
+def test_siblings_of_one_shape_stay_distinct(shape, siblings, args, fields,
+                                             text):
+    terms = [cls(*args) for cls in siblings]
+    assert len(set(terms)) == len(terms)
+    for cls, t in zip(siblings, terms):
+        assert t == cls(*args) and hash(t) == hash(args)
+        assert repr(t) == cls.__name__ + text
+        assert cls.__match_args__ == tuple(name for name, _ in fields)
+        assert [(fl.name, fl.type) for fl in dataclasses.fields(t)] == fields
+    bare = shape(*args)
+    for walk in (hol.children, lambda t: hol.map_children(t, lambda s: s),
+                 lambda t: type_of(t, {"x": IND})):
+        with pytest.raises(TypeError, match="unexpected term"):
+            walk(bare)
+
+
+def test_each_term_shape_is_declared_once():
+    """No two term dataclasses in ``hol`` declare the same field list,
+    and a subclass of one declares no field: a new constructor with a
+    known layout subclasses that shape instead of restating it."""
+    tree = ast.parse(Path(hol.__file__).read_text(encoding="utf-8"))
+    layouts: dict[tuple[str, ...], str] = {}
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef)
+                and issubclass(getattr(hol, node.name), hol.Term)):
+            continue
+        fields = tuple(s.target.id for s in node.body
+                       if isinstance(s, ast.AnnAssign))
+        if not any("dataclass" in ast.unparse(d)
+                   for d in node.decorator_list):
+            assert not fields, f"{node.name} declares {fields}"
+            continue
+        assert fields not in layouts, (
+            f"{node.name} restates the fields of {layouts.get(fields)}")
+        layouts[fields] = node.name
 
 
 @pytest.mark.parametrize("walk", [

@@ -10,12 +10,14 @@ import threading
 import pytest
 
 from mizthf import (
-    Signature, assemble_problem, base_declarations, check_thf, emit_thf,
-    parse_statement, translate_statement,
+    Signature, assemble_problem, check_thf, emit_thf, parse_statement,
+    translate_statement,
 )
 from mizthf import hol, thf, thfcheck
 from mizthf.cli import main
-from mizthf.declarations import Declaration, member
+from mizthf.declarations import (
+    Declaration, elementof_declaration, member,
+)
 from mizthf.hol import (
     All, And, App, Const, Eq, Ex, Iff, IllTyped, Imp, IND, Lam, Not, Or,
     PROP, TOP, Var, apps, fn,
@@ -192,7 +194,7 @@ def test_problems_share_each_elementof_form():
     assert [name for name, _ in fraenkel[0].axioms] == [
         "m1_subset_1_nonempty", "m1_subset_1_sethood"]
     assert plain[0].axioms[0][1] is fraenkel[0].axioms[0][1]
-    assert base_declarations(small_sig())[-1] is fraenkel[0]
+    assert elementof_declaration("m1_subset_1", True) is fraenkel[0]
 
 
 def test_conflicting_annotations_are_rejected():
